@@ -14,7 +14,7 @@ whose serialization is byte-for-byte reproducible.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -39,6 +39,7 @@ __all__ = [
     "table_from_json",
     "save_table",
     "load_table",
+    "write_text_atomic",
 ]
 
 SCHEMA_VERSION = 1
@@ -127,8 +128,7 @@ def mn_char(lam: Partition, mu: Partition) -> int:
     Murnaghan-Nakayama recursion: peel a border strip whose length is the
     largest remaining part of mu, summing sign * subvalue over all removals.
     The base case is chi of the empty partition at the empty class, which
-    is 1.  Values are memoized; the memo persists across calls (grow-only,
-    last-write-wins, so concurrent table builds may share it).
+    is 1.  Values are memoized; the memo persists across calls (grow-only).
     """
     lam = tuple(lam)
     mu = tuple(mu)
@@ -197,35 +197,27 @@ class CharTable:
         return self.values[self.index(lam)][-1]
 
 
-def character_table(n: int, *, workers: int = 1, cache_dir: str | Path | None = None) -> CharTable:
+def character_table(n: int, *, cache_dir: str | Path | None = None) -> CharTable:
     """Character table of S_n in canonical order.
 
     With cache_dir set, an existing cache file for this n and schema version
-    is loaded (a corrupt file raises CharTableCacheError rather than being
-    silently recomputed); otherwise the table is computed and saved there.
-    workers > 1 shards rows across threads; results are identical to the
-    single-threaded build since every entry is an exact integer.
+    is loaded (a corrupt file, or one holding the table of another n, raises
+    CharTableCacheError rather than being silently recomputed); otherwise the
+    table is computed and saved there.
     """
     if n < 1:
         raise ValueError(f"character_table needs n >= 1, got {n}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     path: Path | None = None
     if cache_dir is not None:
         path = table_cache_path(cache_dir, n)
         if path.exists():
-            return load_table(path)
+            table = load_table(path)
+            if table.n != n:
+                raise CharTableCacheError(f"cache file {path} holds n={table.n}, not n={n}")
+            return table
 
     order = partitions_of(n)
-
-    def build_row(lam: Partition) -> tuple[int, ...]:
-        return tuple(_mn(lam, mu) for mu in order)
-
-    if workers == 1:
-        rows = tuple(build_row(lam) for lam in order)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(build_row, order))
+    rows = tuple(tuple(_mn(lam, mu) for mu in order) for lam in order)
     table = CharTable(n=n, order=order, values=rows)
     if path is not None:
         save_table(table, path)
@@ -297,10 +289,29 @@ def table_from_json(text: str, *, source: str = "<memory>") -> CharTable:
         raise CharTableCacheError(f"cache file {source} is malformed: {e}") from None
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text to a temporary file beside path, sync it, then rename it over path.
+
+    An interrupted write or a crash leaves the old file (or none), never a
+    truncated one; on any failure the temporary file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_table(table: CharTable, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(table_to_json(table), encoding="utf-8")
+    write_text_atomic(path, table_to_json(table))
 
 
 def load_table(path: str | Path) -> CharTable:

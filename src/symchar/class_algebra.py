@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from .characters import CharTable
 from .partitions import Partition, class_size, merge_parts, partitions_of, sign_value
+from .vanishing import covers_all_nonlinear
 
 __all__ = [
     "Perm",
@@ -179,8 +180,6 @@ def predicted_coefficient(
     with equal signs, mu = nu = (2,1) at n = 3, falls outside the prediction:
     there the returned value is not the true structure constant.
     """
-    from .vanishing import covers_all_nonlinear
-
     n = table.n
     if sum(mu) != n or sum(nu) != n or sum(gamma) != n:
         raise ValueError(f"classes must all partition {n}: {mu}, {nu}, {gamma}")

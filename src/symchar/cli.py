@@ -26,6 +26,7 @@ from .characters import (
     character_table,
     mn_char,
     table_to_json,
+    write_text_atomic,
 )
 from .class_algebra import (
     BRUTE_FORCE_DEFAULT_LIMIT,
@@ -69,25 +70,12 @@ class RunConfig:
     """Settings shared by all subcommands."""
 
     cache_dir: Path
-    workers: int = 1
     format: str = "pretty"
     brute_force_limit: int = BRUTE_FORCE_DEFAULT_LIMIT
 
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _workers_arg(text: str) -> int:
-    if text == "auto":
-        return os.cpu_count() or 1
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"workers must be a positive int or 'auto', got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {value}")
-    return value
 
 
 def _positive_int(text: str) -> int:
@@ -117,12 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
         f"or ${CACHE_ENV_VAR} when set)",
     )
     parser.add_argument(
-        "--workers",
-        type=_workers_arg,
-        default=1,
-        help="worker threads for table builds: a positive int or 'auto'",
-    )
-    parser.add_argument(
         "--brute-force-limit",
         type=_positive_int,
         default=BRUTE_FORCE_DEFAULT_LIMIT,
@@ -143,12 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pairs = sub.add_parser("vanishing-pairs", help="covering pairs of classes for S_n")
     p_pairs.add_argument("n", type=_positive_int)
     p_pairs.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-    p_pairs.add_argument(
-        "--prune",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="apply sound parity/merge prefilters for n > 6",
-    )
 
     p_sc = sub.add_parser("structure-constant", help="class-algebra structure constant")
     p_sc.add_argument("--mu", required=True)
@@ -175,14 +151,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
     return RunConfig(
         cache_dir=Path(cache_dir),
-        workers=args.workers,
         format=getattr(args, "format", "pretty"),
         brute_force_limit=args.brute_force_limit,
     )
 
 
 def _table(n: int, cfg: RunConfig) -> CharTable:
-    return character_table(n, workers=cfg.workers, cache_dir=cfg.cache_dir)
+    return character_table(n, cache_dir=cfg.cache_dir)
 
 
 # --- chartable -------------------------------------------------------------
@@ -221,7 +196,7 @@ def _cmd_chartable(args: argparse.Namespace, cfg: RunConfig) -> int:
     else:
         payload = _render_table_pretty(table)
     if args.out is not None:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        write_text_atomic(args.out, payload)
     else:
         sys.stdout.write(payload)
     return EXIT_OK
@@ -276,7 +251,6 @@ def _pairs_json(report: CoveringPairReport) -> str:
             for mu, nu in report.pairs
         ],
         "matches_theorem": report.matches_theorem,
-        "pruning_stats": {k: str(v) for k, v in sorted(report.pruning_stats.items())},
         "vacuous": report.vacuous,
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -303,16 +277,12 @@ def _pairs_pretty(report: CoveringPairReport) -> str:
         lines.append("matches theorem: n/a (theorem range is n > 6)")
     else:
         lines.append(f"matches theorem: {'yes' if report.matches_theorem else 'no'}")
-    stats = report.pruning_stats
-    lines.append(
-        f"pruning skipped: parity={stats.get('parity', 0)} merge={stats.get('merge', 0)}"
-    )
     return "\n".join(lines) + "\n"
 
 
 def _cmd_vanishing_pairs(args: argparse.Namespace, cfg: RunConfig) -> int:
     table = _table(args.n, cfg)
-    report = find_covering_pairs(args.n, table, use_pruning=args.prune)
+    report = find_covering_pairs(args.n, table)
     if cfg.format == "json":
         sys.stdout.write(_pairs_json(report))
     elif cfg.format == "csv":
@@ -500,10 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     except BruteForceLimitError as e:
         _log(f"error: {e}")
         return EXIT_BRUTE_FORCE_LIMIT
-    except CharTableCacheError as e:
-        _log(f"error: {e}")
-        return EXIT_IO_FAILURE
-    except OSError as e:
+    except (CharTableCacheError, OSError) as e:
         _log(f"error: {e}")
         return EXIT_IO_FAILURE
     except ValueError as e:
@@ -513,3 +480,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -5,20 +5,14 @@ irreducible character apart from the trivial and sign characters vanishes on
 mu or on nu.  find_covering_pairs enumerates all covering pairs from a
 character table; for n > 6 the expected answer is exactly {(n), (n-1,1)},
 which verify_main_theorem checks and reports on.
-
-The search can prune candidate pairs (n > 6 only) with two sound filters: a
-covering pair must consist of classes of opposite sign, and its members must
-be related by merging two cycle lengths.  Every survivor is still verified
-against the full table, so pruned and unpruned runs return identical sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .characters import CharTable
-from .class_algebra import merge_lemma_check
-from .partitions import Partition, sign_value
+from .partitions import Partition
 
 __all__ = [
     "CoveringPairReport",
@@ -49,7 +43,6 @@ class CoveringPairReport:
     pairs: tuple[Pair, ...]
     k_value: int | None
     matches_theorem: bool | None
-    pruning_stats: dict[str, int] = field(compare=False)
     vacuous: bool = False
 
     def degenerate_pairs(self) -> tuple[Pair, ...]:
@@ -116,59 +109,31 @@ def covers_all_nonlinear(mu: Partition, nu: Partition, table: CharTable) -> bool
     return True
 
 
-def find_covering_pairs(n: int, table: CharTable, *, use_pruning: bool = True) -> CoveringPairReport:
-    """Search all unordered pairs of classes of S_n for covering pairs.
-
-    Pruning (active only for n > 6) discards pairs that fail the opposite-
-    sign test or the merge relation in both directions before the table scan;
-    survivors are always fully verified, so the result is identical with
-    pruning on or off.
-    """
+def find_covering_pairs(n: int, table: CharTable) -> CoveringPairReport:
+    """Search all unordered pairs of classes of S_n for covering pairs."""
     if table.n != n:
         raise ValueError(f"table is for n={table.n}, not n={n}")
     order = table.order
     nonlinear = _nonlinear_rows(table)
-    vacuous = not nonlinear
-    prune = use_pruning and n > 6
-    stats = {"parity": 0, "merge": 0}
-
-    signs = [sign_value(mu) for mu in order]
     pairs: list[Pair] = []
     for a in range(len(order)):
         for b in range(a, len(order)):
-            if prune:
-                if signs[a] * signs[b] != -1:
-                    stats["parity"] += 1
-                    continue
-                if not (
-                    merge_lemma_check(order[a], order[b])
-                    or merge_lemma_check(order[b], order[a])
-                ):
-                    stats["merge"] += 1
-                    continue
             if all(table.values[i][a] == 0 or table.values[i][b] == 0 for i in nonlinear):
                 pairs.append((order[a], order[b]))
 
-    singleton_covers = any(
-        all(table.values[i][c] == 0 for i in nonlinear) for c in range(len(order))
-    )
-    if singleton_covers:
+    # a single class covers exactly when it covers paired with itself
+    if any(mu == nu for mu, nu in pairs):
         k_value: int | None = 1
     elif pairs:
         k_value = 2
     else:
         k_value = None
-
-    matches: bool | None = None
-    if n > 6:
-        matches = pairs == [((n,), (n - 1, 1))]
     return CoveringPairReport(
         n=n,
         pairs=tuple(pairs),
         k_value=k_value,
-        matches_theorem=matches,
-        pruning_stats=stats,
-        vacuous=vacuous,
+        matches_theorem=pairs == [((n,), (n - 1, 1))] if n > 6 else None,
+        vacuous=not nonlinear,
     )
 
 
@@ -181,15 +146,10 @@ def k_of_sn(n: int, table: CharTable) -> int:
     """
     if n < 3:
         raise ValueError(f"k_of_sn is defined for n >= 3, got {n}")
-    nonlinear = _nonlinear_rows(table)
-    if any(
-        all(table.values[i][c] == 0 for i in nonlinear) for c in range(len(table.order))
-    ):
-        return 1
-    report = find_covering_pairs(n, table, use_pruning=False)
-    if report.pairs:
-        return 2
-    raise RuntimeError(f"no covering pair of classes exists for n={n}; this contradicts theory")
+    k_value = find_covering_pairs(n, table).k_value
+    if k_value is None:
+        raise RuntimeError(f"no covering pair of classes exists for n={n}; this contradicts theory")
+    return k_value
 
 
 def verify_main_theorem(n: int, table: CharTable) -> TheoremCheck:
@@ -200,11 +160,10 @@ def verify_main_theorem(n: int, table: CharTable) -> TheoremCheck:
     """
     if n <= 6:
         raise ValueError(f"the covering-pair theorem applies for n > 6, got {n}")
-    report = find_covering_pairs(n, table, use_pruning=True)
+    report = find_covering_pairs(n, table)
     expected: Pair = ((n,), (n - 1, 1))
-    found = set(report.pairs)
     extra = tuple(pair for pair in report.pairs if pair != expected)
-    missing = () if expected in found else (expected,)
+    missing = () if expected in report.pairs else (expected,)
     return TheoremCheck(
         n=n,
         ok=not extra and not missing,

@@ -211,6 +211,32 @@ def induced_oracle(k: int, inner: str, mu: tuple[int, ...]) -> int:
     return total
 
 
+# --- covering pairs by a direct per-row scan ----------------------------------
+
+
+def covering_pairs_oracle(
+    labels: tuple[tuple[int, ...], ...], rows: tuple[tuple[int, ...], ...]
+) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Unordered pairs of classes on which every non-linear character vanishes.
+
+    labels names both the rows (characters) and the columns (classes) of the
+    square table rows.  A row is non-linear when its value at the identity
+    class (1^n) exceeds 1.  Starting from every pair (i <= j) of columns, each
+    non-linear row in turn removes the pairs it is non-zero on at both ends.
+    Pairs are returned as (labels[i], labels[j]) with i <= j.
+    """
+    n = sum(labels[0])
+    identity = labels.index((1,) * n)
+    m = len(labels)
+    alive = {(i, j) for i in range(m) for j in range(i, m)}
+    for row in rows:
+        if row[identity] == 1:
+            continue
+        zeros = {c for c, value in enumerate(row) if value == 0}
+        alive = {(i, j) for i, j in alive if i in zeros or j in zeros}
+    return {(labels[i], labels[j]) for i, j in alive}
+
+
 # --- structure constants by convolution of indicator functions ----------------
 
 

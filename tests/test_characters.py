@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -227,13 +228,6 @@ def test_memo_reuse_and_reset():
     assert mn_memo_size() == 0
 
 
-def test_worker_builds_are_identical():
-    for workers in (2, 3, 5):
-        assert character_table(6, workers=workers) == character_table(6)
-    with pytest.raises(ValueError):
-        character_table(6, workers=0)
-
-
 def test_table_lookup_helpers():
     t = character_table(5)
     assert t.degree((3, 2)) == 5
@@ -283,6 +277,29 @@ def test_corrupt_cache_fails_loudly(tmp_path):
     path.write_text(good.replace('"1"', '"01"', 1))
     with pytest.raises(CharTableCacheError):
         character_table(4, cache_dir=tmp_path)
+
+
+def test_cache_file_of_another_n_fails_loudly(tmp_path):
+    character_table(8, cache_dir=tmp_path)
+    # a valid file under the wrong name: it holds S_8, the request is for S_9
+    table_cache_path(tmp_path, 9).write_bytes(table_cache_path(tmp_path, 8).read_bytes())
+    with pytest.raises(CharTableCacheError, match="n=8"):
+        character_table(9, cache_dir=tmp_path)
+
+
+def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
+    path = table_cache_path(tmp_path, 4)
+    save_table(character_table(4), path)
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        save_table(character_table(5), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 def test_missing_cache_file_raises_oserror(tmp_path):

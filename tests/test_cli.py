@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,14 +113,55 @@ def test_cache_dir_default_is_cwd_local(tmp_path, monkeypatch, capsys):
     assert table_cache_path(tmp_path / ".symchar-cache", 3).exists()
 
 
-def test_workers_flag(cache, capsys):
-    assert main(["--cache-dir", cache, "--workers", "2", "chartable", "7", "--format", "json"]) == EXIT_OK
-    with_workers = capsys.readouterr().out
-    assert main(["--cache-dir", cache, "--workers", "auto", "chartable", "7", "--format", "json"]) == EXIT_OK
-    assert capsys.readouterr().out == with_workers
-    with pytest.raises(SystemExit) as exc:
-        main(["--workers", "0", "chartable", "3"])
-    assert exc.value.code == 2
+def test_chartable_cache_of_another_n_is_io_failure(cache, capsys):
+    assert main(["--cache-dir", cache, "chartable", "8"]) == EXIT_OK
+    capsys.readouterr()
+    table_cache_path(cache, 9).write_bytes(table_cache_path(cache, 8).read_bytes())
+    assert main(["--cache-dir", cache, "chartable", "9"]) == EXIT_IO_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n=8" in captured.err
+
+
+def test_chartable_failed_out_write_keeps_the_old_file(cache, tmp_path, monkeypatch, capsys):
+    target = tmp_path / "t.csv"
+    assert main(["--cache-dir", cache, "chartable", "3", "--format", "csv", "--out", str(target)]) == EXIT_OK
+    before = target.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    assert main(["--cache-dir", cache, "chartable", "4", "--format", "csv", "--out", str(target)]) == EXIT_IO_FAILURE
+    assert "interrupted" in capsys.readouterr().err
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "t.csv"]
+
+
+def test_removed_options_are_usage_errors(cache):
+    for argv in (
+        ["--cache-dir", cache, "--workers", "2", "chartable", "3"],
+        ["--cache-dir", cache, "vanishing-pairs", "7", "--no-prune"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_module_entry_point_runs_the_command(cache, tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "SYMCHAR_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "symchar.cli", "--cache-dir", cache, "chartable", "3", "--format", "csv"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == ",3,2.1,1.1.1\n3,1,1,1\n2.1,-1,0,2\n1.1.1,1,-1,1\n"
 
 
 def test_chartable_rejects_nonpositive_n():
@@ -186,16 +231,8 @@ def test_vanishing_pairs_json_n7(cache, capsys):
         "k_value": "2",
         "pairs": [[["7"], ["6", "1"]]],
         "matches_theorem": True,
-        "pruning_stats": {"merge": "28", "parity": "64"},
         "vacuous": False,
     }
-
-
-def test_vanishing_pairs_json_no_prune(cache, capsys):
-    main(["--cache-dir", cache, "vanishing-pairs", "7", "--format", "json", "--no-prune"])
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["pairs"] == [[["7"], ["6", "1"]]]
-    assert payload["pruning_stats"] == {"merge": "0", "parity": "0"}
 
 
 def test_vanishing_pairs_json_vacuous(cache, capsys):

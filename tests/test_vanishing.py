@@ -1,6 +1,8 @@
 import pytest
 
+from oracles import character_table_oracle, covering_pairs_oracle
 from symchar import (
+    CharTable,
     covers_all_nonlinear,
     find_covering_pairs,
     k_of_sn,
@@ -96,27 +98,27 @@ def test_theorem_range_has_unique_pair(table_for):
         assert not report.vacuous
 
 
-def test_pruning_changes_nothing(table_for):
-    for n in range(7, 11):
+def _as_set(report):
+    assert len(set(report.pairs)) == len(report.pairs)
+    return set(report.pairs)
+
+
+def test_covering_pairs_match_oracle_on_oracle_tables():
+    # tables built from permutation actions, with no package code involved
+    for n in range(3, 6):
+        oracle = character_table_oracle(n)
+        order = partitions_of(n)
+        values = tuple(tuple(oracle[lam][mu] for mu in order) for lam in order)
+        report = find_covering_pairs(n, CharTable(n=n, order=order, values=values))
+        assert _as_set(report) == covering_pairs_oracle(order, values), n
+
+
+def test_covering_pairs_match_oracle_on_package_tables(table_for):
+    for n in range(6, 13):
         t = table_for(n)
-        pruned = find_covering_pairs(n, t)
-        unpruned = find_covering_pairs(n, t, use_pruning=False)
-        assert pruned.pairs == unpruned.pairs
-        assert pruned.k_value == unpruned.k_value
-        assert pruned == unpruned  # pruning_stats excluded from equality
-        assert pruned.pruning_stats != unpruned.pruning_stats
-
-
-def test_pruning_stats_n7(table_for):
-    report = find_covering_pairs(7, table_for(7))
-    assert report.pruning_stats == {"parity": 64, "merge": 28}
-    unpruned = find_covering_pairs(7, table_for(7), use_pruning=False)
-    assert unpruned.pruning_stats == {"parity": 0, "merge": 0}
-
-
-def test_pruning_inactive_for_small_n(table_for):
-    report = find_covering_pairs(5, table_for(5))
-    assert report.pruning_stats == {"parity": 0, "merge": 0}
+        labels = tuple(tuple(lam) for lam in t.order)
+        rows = tuple(tuple(row) for row in t.values)
+        assert _as_set(find_covering_pairs(n, t)) == covering_pairs_oracle(labels, rows), n
 
 
 def test_covering_pairs_have_odd_parity_product(table_for):
