@@ -1,0 +1,6 @@
+"""`python -m symchar ...` runs the symchar command."""
+
+from .cli import run
+
+if __name__ == "__main__":
+    run()

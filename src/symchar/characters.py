@@ -1,14 +1,19 @@
 """Exact irreducible character values of symmetric groups.
 
-The central routine is mn_char(lam, mu): the value of the irreducible
-character of S_n labelled by the partition lam on the conjugacy class of
-cycle type mu, computed by the Murnaghan-Nakayama rule with a fixed strategy
-(always peel a border strip whose length is the largest remaining part of mu).
-All arithmetic is exact over Python ints.
+character_table(n) builds the full p(n) x p(n) table a column at a time.
+Column mu is the Schur expansion of the power sum p_mu, obtained from the
+empty shape by adding border strips of mu's parts in ascending order; shapes
+are int bitmask beta-sets, and the trie of ascending prefixes is walked
+depth first, so every shared prefix is expanded once and the working memo
+lives only as long as the build.  Rows and columns follow the canonical
+partition order of partitions_of(n); an optional JSON disk cache holds the
+result, and its serialization is byte-for-byte reproducible.
 
-character_table(n) assembles the full p(n) x p(n) table in the canonical
-partition order of partitions_of(n), optionally backed by a JSON disk cache
-whose serialization is byte-for-byte reproducible.
+mn_char(lam, mu) is the independent single-value route: the
+Murnaghan-Nakayama rule with a fixed strategy (always peel a border strip
+whose length is the largest remaining part of mu), memoized in a process-wide
+memo that table builds never touch.  The tests check each route against the
+other.  All arithmetic is exact over Python ints.
 """
 
 from __future__ import annotations
@@ -138,18 +143,40 @@ def mn_char(lam: Partition, mu: Partition) -> int:
 
 
 def _mn(lam: Partition, mu: Partition) -> int:
+    # Depth-first over (shape, suffix of mu) with an explicit stack instead of
+    # recursion, so a class with thousands of parts cannot exhaust Python's
+    # recursion limit.  key = (shape, suffix) is being evaluated; rest is the
+    # suffix left once its first part is peeled.
     if not mu:
         return 1
     key = (lam, mu)
-    cached = _MN_MEMO.get(key)
-    if cached is not None:
-        return cached
+    total = _MN_MEMO.get(key)
+    if total is not None:
+        return total
+    stack: list[tuple] = []
     rest = mu[1:]
+    removals = iter(border_strip_removals(lam, mu[0]))
     total = 0
-    for removal in border_strip_removals(lam, mu[0]):
-        total += removal.sign * _mn(removal.remaining, rest)
-    _MN_MEMO[key] = total
-    return total
+    while True:
+        for removal in removals:
+            if not rest:
+                total += removal.sign
+                continue
+            sub = (removal.remaining, rest)
+            value = _MN_MEMO.get(sub)
+            if value is None:
+                stack.append((key, rest, removals, total, removal.sign))
+                key, total = sub, 0
+                removals = iter(border_strip_removals(removal.remaining, rest[0]))
+                rest = rest[1:]
+                break
+            total += removal.sign * value
+        else:
+            _MN_MEMO[key] = total
+            if not stack:
+                return total
+            key, rest, removals, outer, sign = stack.pop()
+            total = outer + sign * total
 
 
 def reset_mn_memo() -> None:
@@ -197,6 +224,62 @@ class CharTable:
         return self.values[self.index(lam)][-1]
 
 
+def _beta_mask(lam: Partition, n: int) -> int:
+    # lam's beta-set with n beads, bead i at lam[i] + n - 1 - i, as a bitmask.
+    mask = 0
+    for i in range(n):
+        mask |= 1 << ((lam[i] if i < len(lam) else 0) + n - 1 - i)
+    return mask
+
+
+def _add_strips(coeffs: dict[int, int], k: int) -> dict[int, int]:
+    """Multiply a Schur expansion {beta mask: coefficient} by the power sum p_k.
+
+    Adding a border strip of length k moves a bead b to the free position
+    b + k.  The strip's height is one more than the number of beads strictly
+    between b and b + k, so that count's parity is the sign.
+    """
+    out: dict[int, int] = {}
+    get = out.get
+    between = (1 << (k - 1)) - 1
+    for mask, c in coeffs.items():
+        movable = mask & ~(mask >> k)  # beads b with b + k free
+        while movable:
+            bit = movable & -movable
+            movable ^= bit
+            moved = mask ^ bit ^ (bit << k)
+            if ((mask >> bit.bit_length()) & between).bit_count() & 1:
+                out[moved] = get(moved, 0) - c
+            else:
+                out[moved] = get(moved, 0) + c
+    return out
+
+
+def _table_values(n: int, order: tuple[Partition, ...]) -> tuple[tuple[int, ...], ...]:
+    # Column mu holds the Schur coefficients of p_mu.  The depth-first walk
+    # over ascending prefixes of the classes keeps one expansion per level of
+    # the current path alive; a leaf's expansion is its column.
+    row_of = {_beta_mask(lam, n): i for i, lam in enumerate(order)}
+    col_of = {mu: j for j, mu in enumerate(order)}
+    rows = [[0] * len(order) for _ in order]
+    prefix: list[int] = []  # parts added so far, ascending
+
+    def walk(coeffs: dict[int, int], last: int, rest: int) -> None:
+        if rest == 0:
+            j = col_of[tuple(reversed(prefix))]
+            for mask, value in coeffs.items():
+                rows[row_of[mask]][j] = value
+            return
+        # the parts still to add are all >= k, so k must be rest or fit twice
+        for k in [*range(last, rest // 2 + 1), rest]:
+            prefix.append(k)
+            walk(_add_strips(coeffs, k), k, rest - k)
+            prefix.pop()
+
+    walk({(1 << n) - 1: 1}, 1, n)
+    return tuple(map(tuple, rows))
+
+
 def character_table(n: int, *, cache_dir: str | Path | None = None) -> CharTable:
     """Character table of S_n in canonical order.
 
@@ -217,8 +300,7 @@ def character_table(n: int, *, cache_dir: str | Path | None = None) -> CharTable
             return table
 
     order = partitions_of(n)
-    rows = tuple(tuple(_mn(lam, mu) for mu in order) for lam in order)
-    table = CharTable(n=n, order=order, values=rows)
+    table = CharTable(n=n, order=order, values=_table_values(n, order))
     if path is not None:
         save_table(table, path)
     return table

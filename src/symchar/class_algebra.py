@@ -3,7 +3,7 @@
 The coefficient of the class sum of gamma in the product of the class sums
 of mu and nu counts pairs (x, y) in C_mu x C_nu with x*y = g for any fixed
 g in C_gamma.  structure_constant computes it from character data with exact
-rational arithmetic; structure_constant_bruteforce counts the pairs directly
+integer arithmetic; structure_constant_bruteforce counts the pairs directly
 by enumerating C_mu.  The two never share code, so each checks the other.
 
 Permutations are tuples of images on {0, ..., n-1}; composition is
@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 from .characters import CharTable
@@ -111,25 +110,34 @@ def conjugacy_class(mu: Partition, *, limit: int = BRUTE_FORCE_DEFAULT_LIMIT) ->
 def structure_constant(mu: Partition, nu: Partition, gamma: Partition, table: CharTable) -> int:
     """Class-algebra coefficient a_{mu,nu}^gamma from character data.
 
-    Exact rational evaluation of
-        (|C_mu| |C_nu| / n!) * sum_lam chi(mu) chi(nu) chi(gamma) / chi(1).
-    The result is asserted to be a non-negative integer; a violation means
-    the character table itself is inconsistent and raises RuntimeError.
+    Exact integer evaluation of
+        (|C_mu| |C_nu| / n!) * sum_lam chi(mu) chi(nu) chi(gamma) / chi(1)
+    as |C_mu| |C_nu| * S / (n!)^2 with S = sum_lam chi(mu) chi(nu) chi(gamma)
+    * (n! / chi(1)), each degree dividing n!.  The result is asserted to be a
+    non-negative integer; a violation (or a degree not dividing n!) means the
+    character table itself is inconsistent and raises RuntimeError.
     """
     n = table.n
     if sum(mu) != n or sum(nu) != n or sum(gamma) != n:
         raise ValueError(f"classes must all partition {n}: {mu}, {nu}, {gamma}")
     i_mu, i_nu, i_g = table.index(tuple(mu)), table.index(tuple(nu)), table.index(tuple(gamma))
-    total = Fraction(0)
+    group_order = math.factorial(n)
+    total = 0
     for row in table.values:
-        total += Fraction(row[i_mu] * row[i_nu] * row[i_g], row[-1])
-    coeff = Fraction(class_size(mu) * class_size(nu), math.factorial(n)) * total
-    if coeff.denominator != 1 or coeff < 0:
+        cofactor, rem = divmod(group_order, row[-1])
+        if rem:
+            raise RuntimeError(
+                f"degree {row[-1]} does not divide {n}!; character table is internally inconsistent"
+            )
+        total += row[i_mu] * row[i_nu] * row[i_g] * cofactor
+    scaled = class_size(mu) * class_size(nu) * total
+    coeff, rem = divmod(scaled, group_order * group_order)
+    if rem or coeff < 0:
         raise RuntimeError(
-            f"structure constant for ({mu}, {nu}, {gamma}) came out {coeff}; "
+            f"structure constant for ({mu}, {nu}, {gamma}) came out {scaled}/({n}!)^2; "
             "character table is internally inconsistent"
         )
-    return int(coeff)
+    return coeff
 
 
 def structure_constant_bruteforce(

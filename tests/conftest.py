@@ -16,5 +16,5 @@ def _shared_table(n: int):
 
 @pytest.fixture
 def table_for():
-    """Session-shared character tables; the MN memo makes rebuilds cheap."""
+    """Character tables built once per session and shared by every test."""
     return _shared_table

@@ -228,6 +228,25 @@ def test_memo_reuse_and_reset():
     assert mn_memo_size() == 0
 
 
+def test_column_build_matches_mn_char_entry_by_entry():
+    # the column-wise table build and the row-wise MN recursion share no code
+    for n in range(1, 13):
+        t = character_table(n)
+        for i, lam in enumerate(t.order):
+            for j, mu in enumerate(t.order):
+                assert t.values[i][j] == mn_char(lam, mu), (n, lam, mu)
+
+
+def test_table_build_leaves_mn_memo_untouched():
+    reset_mn_memo()
+    character_table(10)
+    assert mn_memo_size() == 0
+    mn_char((4, 2), (2, 2, 1, 1))
+    grown = mn_memo_size()
+    character_table(11)
+    assert mn_memo_size() == grown
+
+
 def test_table_lookup_helpers():
     t = character_table(5)
     assert t.degree((3, 2)) == 5

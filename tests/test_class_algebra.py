@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -65,6 +66,22 @@ def test_structure_constant_examples(table_for):
     assert structure_constant((2, 1), (2, 1), (1, 1, 1), t3) == 3
     t4 = table_for(4)
     assert structure_constant((2, 1, 1), (2, 1, 1), (1, 1, 1, 1), t4) == 6
+
+
+def _doctored(table, i, j, value):
+    values = [list(row) for row in table.values]
+    values[i][j] = value
+    return replace(table, values=tuple(map(tuple, values)))
+
+
+def test_structure_constant_rejects_an_inconsistent_table(table_for):
+    t3 = table_for(3)
+    # chi_(2,1)((3)) = 1 instead of -1: the character sum gives 60 / (3!)^2
+    with pytest.raises(RuntimeError, match="inconsistent"):
+        structure_constant((3,), (3,), (3,), _doctored(t3, 1, 0, 1))
+    # a degree of 4 does not divide 3!
+    with pytest.raises(RuntimeError, match="does not divide"):
+        structure_constant((3,), (3,), (3,), _doctored(t3, 1, 2, 4))
 
 
 def test_structure_constant_rejects_size_mismatch(table_for):

@@ -148,18 +148,28 @@ def test_removed_options_are_usage_errors(cache):
         assert exc.value.code == 2
 
 
-def test_module_entry_point_runs_the_command(cache, tmp_path):
+def _run_module(module, cache, cwd):
     src = Path(__file__).resolve().parent.parent / "src"
     env = {k: v for k, v in os.environ.items() if k != "SYMCHAR_CACHE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "symchar.cli", "--cache-dir", cache, "chartable", "3", "--format", "csv"],
-        cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, "-m", module, "--cache-dir", cache, "chartable", "3", "--format", "csv"],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_module_entry_point_runs_the_command(cache, tmp_path):
+    done = _run_module("symchar.cli", cache, tmp_path)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == ",3,2.1,1.1.1\n3,1,1,1\n2.1,-1,0,2\n1.1.1,1,-1,1\n"
+
+
+def test_package_entry_point_runs_the_command(cache, tmp_path):
+    done = _run_module("symchar", cache, tmp_path)
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout == ",3,2.1,1.1.1\n3,1,1,1\n2.1,-1,0,2\n1.1.1,1,-1,1\n"
 
@@ -180,6 +190,13 @@ def test_eval_accepts_power_sugar(cache, capsys):
     code = main(["--cache-dir", cache, "eval", "--lambda", "6,1", "--mu", "5,1^2"])
     assert code == EXIT_OK
     assert capsys.readouterr().out == "1\n"
+
+
+def test_eval_class_with_a_thousand_parts(cache, capsys):
+    # one MN step per part of mu: far deeper than Python's recursion limit
+    code = main(["--cache-dir", cache, "eval", "--lambda", "2,1^1100", "--mu", "1^1102"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "1101\n"
 
 
 def test_eval_methods_agree(cache, capsys):
