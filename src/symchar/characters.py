@@ -210,6 +210,11 @@ class CharTable:
     def _index(self) -> dict[Partition, int]:
         return {p: i for i, p in enumerate(self.order)}
 
+    @cached_property
+    def json_text(self) -> str:
+        """table_to_json(self), encoded once and shared by the cache write and any output."""
+        return table_to_json(self)
+
     def index(self, p: Partition) -> int:
         try:
             return self._index[tuple(p)]
@@ -393,7 +398,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 def save_table(table: CharTable, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(path, table_to_json(table))
+    write_text_atomic(path, table.json_text)
 
 
 def load_table(path: str | Path) -> CharTable:

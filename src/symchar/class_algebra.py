@@ -4,7 +4,8 @@ The coefficient of the class sum of gamma in the product of the class sums
 of mu and nu counts pairs (x, y) in C_mu x C_nu with x*y = g for any fixed
 g in C_gamma.  structure_constant computes it from character data with exact
 integer arithmetic; structure_constant_bruteforce counts the pairs directly
-by enumerating C_mu.  The two never share code, so each checks the other.
+by enumerating the smaller of C_mu and C_nu, each built member by member
+without sweeping S_n.  The two never share code, so each checks the other.
 
 Permutations are tuples of images on {0, ..., n-1}; composition is
 (a * b)(t) = a[b[t]].  Cycle types are label-independent, so the 0-based
@@ -19,7 +20,7 @@ import random
 from functools import lru_cache
 
 from .characters import CharTable
-from .partitions import Partition, class_size, merge_parts, partitions_of, sign_value
+from .partitions import Partition, as_partition, class_size, merge_parts, partitions_of, sign_value
 from .vanishing import covers_all_nonlinear
 
 __all__ = [
@@ -65,7 +66,7 @@ def cycle_type(perm: Perm) -> Partition:
 
 def compose(a: Perm, b: Perm) -> Perm:
     """Product a*b acting as a(b(t))."""
-    return tuple(a[b[t]] for t in range(len(b)))
+    return tuple(map(a.__getitem__, b))
 
 
 def inverse(a: Perm) -> Perm:
@@ -91,20 +92,44 @@ def class_representative(gamma: Partition) -> Perm:
 
 
 @lru_cache(maxsize=None)
-def _classes_by_type(n: int) -> dict[Partition, tuple[Perm, ...]]:
-    # One full sweep of S_n, bucketed by cycle type; n! tuples stay cached.
-    buckets: dict[Partition, list[Perm]] = {}
-    for perm in itertools.permutations(range(n)):
-        buckets.setdefault(cycle_type(perm), []).append(perm)
-    return {t: tuple(perms) for t, perms in buckets.items()}
+def _class_members(mu: Partition) -> tuple[Perm, ...]:
+    # mu is in descending order.  The cycle through the smallest unplaced
+    # point is placed next, written from that point; its other points come
+    # from itertools.permutations.  A permutation fixes each such choice
+    # uniquely, so each member of C_mu is built exactly once.
+    images = list(range(sum(mu)))
+    members: list[Perm] = []
+
+    def place(free: tuple[int, ...], parts: tuple[int, ...]) -> None:
+        if not parts or parts[0] == 1:  # only fixed points are left
+            for t in free:
+                images[t] = t
+            members.append(tuple(images))
+            return
+        first, others = free[0], free[1:]
+        for i, length in enumerate(parts):
+            if i and parts[i - 1] == length:
+                continue  # equal parts give the same cycles
+            rest_parts = parts[:i] + parts[i + 1 :]
+            for tail in itertools.permutations(others, length - 1):
+                point = first
+                for nxt in tail:
+                    images[point] = nxt
+                    point = nxt
+                images[point] = first
+                placed = set(tail)
+                place(tuple(t for t in others if t not in placed), rest_parts)
+
+    place(tuple(images), tuple(mu))
+    return tuple(members)
 
 
 def conjugacy_class(mu: Partition, *, limit: int = BRUTE_FORCE_DEFAULT_LIMIT) -> tuple[Perm, ...]:
-    """All permutations of cycle type mu.  Cost grows like n!, hence the limit."""
+    """All permutations of cycle type mu, each once; the cost is |C_mu|, hence the limit."""
     n = sum(mu)
     if n > limit:
         raise BruteForceLimitError(f"class enumeration at n={n} exceeds limit {limit}")
-    return _classes_by_type(n)[tuple(mu)]
+    return _class_members(as_partition(mu))
 
 
 def structure_constant(mu: Partition, nu: Partition, gamma: Partition, table: CharTable) -> int:
@@ -151,22 +176,28 @@ def structure_constant_bruteforce(
     """Count pairs (x, y) in C_mu x C_nu with x*y = g by direct enumeration.
 
     g defaults to class_representative(gamma); passing another member of the
-    class must give the same count.  Enumerates x over C_mu and tests the
-    cycle type of x^{-1} * g, so the cost is |C_mu| permutation products
-    (order n! in the worst case; refuse beyond `limit`).
+    class must give the same count.  Class sums commute ((x, y) -> (y, y^-1 x y)
+    maps the solutions of x*y = g one-to-one to those of y*x' = g), so mu and
+    nu are swapped when C_nu is the smaller class.  Then w = x^{-1} runs over
+    C_mu, which is closed under inversion, and the cycle type of w * g is
+    tested: the cost is min(|C_mu|, |C_nu|) permutation products, refused
+    beyond `limit`.  class_size only picks the smaller class; every member of
+    the enumerated class is counted.
     """
+    mu, nu, gamma = as_partition(mu), as_partition(nu), as_partition(gamma)
     n = sum(mu)
     if sum(nu) != n or sum(gamma) != n:
         raise ValueError(f"classes must all partition the same n: {mu}, {nu}, {gamma}")
     if n > limit:
         raise BruteForceLimitError(f"brute force at n={n} exceeds limit {limit}")
-    g = class_representative(tuple(gamma)) if representative is None else tuple(representative)
-    if cycle_type(g) != tuple(gamma):
+    g = class_representative(gamma) if representative is None else tuple(representative)
+    if cycle_type(g) != gamma:
         raise ValueError(f"representative {g} does not have cycle type {gamma}")
-    nu = tuple(nu)
+    if class_size(nu) < class_size(mu):
+        mu, nu = nu, mu
     count = 0
-    for x in conjugacy_class(tuple(mu), limit=limit):
-        if cycle_type(compose(inverse(x), g)) == nu:
+    for w in conjugacy_class(mu, limit=limit):
+        if cycle_type(compose(w, g)) == nu:
             count += 1
     return count
 

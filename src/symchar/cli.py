@@ -25,7 +25,6 @@ from .characters import (
     CharTableCacheError,
     character_table,
     mn_char,
-    table_to_json,
     write_text_atomic,
 )
 from .class_algebra import (
@@ -190,7 +189,7 @@ def _render_table_pretty(table: CharTable) -> str:
 def _cmd_chartable(args: argparse.Namespace, cfg: RunConfig) -> int:
     table = _table(args.n, cfg)
     if cfg.format == "json":
-        payload = table_to_json(table)
+        payload = table.json_text
     elif cfg.format == "csv":
         payload = _render_table_csv(table)
     else:
@@ -473,6 +472,11 @@ def main(argv: list[str] | None = None) -> int:
     except (CharTableCacheError, OSError) as e:
         _log(f"error: {e}")
         return EXIT_IO_FAILURE
+    except RuntimeError as e:
+        # after CharTableCacheError, a RuntimeError subclass: here a table
+        # that loaded but fails a consistency check (structure_constant)
+        _log(f"error: {e}")
+        return EXIT_VERIFY_FAILED
     except ValueError as e:
         _log(f"error: {e}")
         return EXIT_INVALID_INPUT

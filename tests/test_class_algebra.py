@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -45,11 +46,16 @@ def test_compose_and_inverse():
 
 
 def test_conjugacy_class_sizes():
+    # each class is built directly, each member once, and the classes
+    # together are exactly S_n
     for n in range(1, 8):
+        union = set()
         for mu in partitions_of(n):
             members = conjugacy_class(mu)
-            assert len(members) == class_size(mu)
+            assert len(set(members)) == len(members) == class_size(mu)
             assert all(cycle_type(x) == mu for x in members)
+            union.update(members)
+        assert union == set(itertools.permutations(range(n)))
 
 
 def test_conjugacy_class_limit():
@@ -138,9 +144,34 @@ def test_bruteforce_matches_character_formula_exhaustively(table_for):
                     ), (mu, nu, gamma)
 
 
+def test_bruteforce_symmetric_in_mu_nu():
+    # the count enumerates the smaller class, so swapping mu and nu changes
+    # which class is walked but never the answer
+    for n in range(1, 6):
+        classes = partitions_of(n)
+        for mu in classes:
+            for nu in classes:
+                for gamma in classes:
+                    assert structure_constant_bruteforce(mu, nu, gamma) == (
+                        structure_constant_bruteforce(nu, mu, gamma)
+                    ), (mu, nu, gamma)
+
+
+def test_bruteforce_accepts_parts_in_any_order():
+    # the parts of a class may come in any order; an unsorted nu used to
+    # match no cycle type and count 0
+    assert structure_constant_bruteforce((2, 1), (1, 2), (1, 1, 1)) == 3
+    assert structure_constant_bruteforce((1, 3), (3, 1), (1, 1, 1, 1)) == class_size((3, 1))
+    assert structure_constant_bruteforce((3, 1), (2, 2), (1, 3)) == (
+        structure_constant_bruteforce((3, 1), (2, 2), (3, 1))
+    )
+    assert set(conjugacy_class((1, 2, 1))) == set(conjugacy_class((2, 1, 1)))
+
+
 def test_bruteforce_matches_independent_convolution_oracle():
-    # the oracle enumerates y and reconstructs x; the package enumerates x
-    for n in range(2, 6):
+    # the oracle enumerates y over all of S_n and reconstructs x; the package
+    # builds the smaller class directly
+    for n in range(2, 7):
         for mu, nu, gamma in deterministic_triples(n, 10):
             assert structure_constant_bruteforce(mu, nu, gamma) == (
                 structure_constant_oracle(mu, nu, gamma)

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from symchar import character_table, load_table, mn_char
+from symchar import character_table, load_table, mn_char, save_table
 from symchar.characters import table_cache_path
 from symchar.cli import (
     EXIT_BRUTE_FORCE_LIMIT,
@@ -73,6 +74,27 @@ def test_chartable_cache_round_trip_is_byte_stable(cache, capsys):
     # second run serves the table from the cache file
     main(["--cache-dir", cache, "chartable", "6", "--format", "json"])
     assert capsys.readouterr().out == first
+
+
+def test_chartable_json_encodes_the_table_once(cache, capsys, monkeypatch):
+    # on a cache miss the cache file and stdout share one encoding
+    import symchar.characters as characters_module
+    import symchar.cli as cli_module
+
+    calls = []
+    encode = characters_module.table_to_json
+
+    def counted(table):
+        calls.append(table.n)
+        return encode(table)
+
+    for module in (characters_module, cli_module):
+        monkeypatch.setattr(module, "table_to_json", counted, raising=False)
+    assert main(["--cache-dir", cache, "chartable", "6", "--format", "json"]) == EXIT_OK
+    assert calls == [6]
+    out = capsys.readouterr().out
+    assert out == table_cache_path(cache, 6).read_text(encoding="utf-8")
+    assert out == encode(character_table(6))
 
 
 def test_chartable_corrupt_cache_is_loud(cache, capsys):
@@ -317,6 +339,25 @@ def test_structure_constant_mismatch_exit_code(cache, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == "2\n1000000000\n"
     assert "mismatch" in captured.err
+
+
+def test_structure_constant_on_an_inconsistent_cached_table_fails_the_check(cache, capsys):
+    # a cached S_3 table whose row (2,1) reads -1,0,4: it decodes, but the
+    # degree 4 does not divide 3!, so the character sum refuses it
+    table = character_table(3)
+    values = (table.values[0], (-1, 0, 4), table.values[2])
+    save_table(replace(table, values=values), table_cache_path(cache, 3))
+    argv = ["--cache-dir", cache, "structure-constant", "--mu", "3", "--nu", "3", "--gamma", "3"]
+    assert main(argv) == EXIT_VERIFY_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert "does not divide" in captured.err
+    # an undecodable cache file stays an I/O failure, not a failed check
+    table_cache_path(cache, 3).write_text("{this is not json", encoding="utf-8")
+    assert main(argv) == EXIT_IO_FAILURE
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_structure_constant_size_mismatch(cache, capsys):
