@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
-from .partitions import Partition, partitions_of, sign_value
+from .partitions import Partition, iter_partitions, partitions_of, sign_value
 
 __all__ = [
     "RimHookRemoval",
@@ -47,7 +49,7 @@ __all__ = [
     "write_text_atomic",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -314,7 +316,9 @@ def character_table(n: int, *, cache_dir: str | Path | None = None) -> CharTable
 # ---------------------------------------------------------------------------
 # Disk cache.  One JSON file per n; all integers are serialized as decimal
 # strings so consumers never hit 53-bit float truncation.  The serializer is
-# deterministic, which makes cache files byte-for-byte reproducible.
+# deterministic, which makes cache files byte-for-byte reproducible, and the
+# file carries a SHA-256 of its canonical payload, so a value changed by hand
+# is caught even when it is still a canonical integer.
 
 
 class CharTableCacheError(RuntimeError):
@@ -325,31 +329,91 @@ def table_cache_path(cache_dir: str | Path, n: int) -> Path:
     return Path(cache_dir) / f"chartable_v{SCHEMA_VERSION}_{n}.json"
 
 
+def _payload_hash(n: int):
+    """A SHA-256 fed with the canonical payload's first lines: the schema version and n.
+
+    The caller adds one line per order entry, then one per row of values, each
+    its decimal strings joined by commas; every line ends in a newline.
+    """
+    import hashlib  # here, not at module level: the CLI's start-up never needs it
+
+    return hashlib.sha256(f"{SCHEMA_VERSION}\n{n}\n".encode("ascii"))
+
+
+def _json_rows(rows: list[str]) -> str:
+    # a list of non-empty string lists as json.dumps(indent=2) lays it out one
+    # level down; each entry of rows is already '",\n      "'-joined
+    return '[\n    [\n      "' + '"\n    ],\n    [\n      "'.join(rows) + '"\n    ]\n  ]'
+
+
 def table_to_json(table: CharTable) -> str:
-    payload = {
-        "schema_version": str(SCHEMA_VERSION),
-        "n": str(table.n),
-        "order": [[str(part) for part in p] for p in table.order],
-        "values": [[str(v) for v in row] for row in table.values],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The cache file's text: json.dumps(payload, indent=2) + "\n", built row by row.
+
+    payload holds schema_version, n, order, values and sha256, in that order,
+    every integer a decimal string.  Each row is turned into strings once,
+    and those strings feed both the text and the digest.
+    """
+    digest = _payload_hash(table.n)
+    blocks = []
+    for rows in (table.order, table.values):
+        texts = []
+        for row in rows:
+            cells = list(map(str, row))
+            digest.update((",".join(cells) + "\n").encode("ascii"))
+            texts.append('",\n      "'.join(cells))
+        blocks.append(_json_rows(texts))
+    return (
+        f'{{\n  "schema_version": "{SCHEMA_VERSION}",\n  "n": "{table.n}",\n'
+        f'  "order": {blocks[0]},\n  "values": {blocks[1]},\n'
+        f'  "sha256": "{digest.hexdigest()}"\n}}\n'
+    )
+
+
+# The decoders below raise ValueError or TypeError; table_from_json turns
+# those into a CharTableCacheError that names the file.
 
 
 def _decode_int(text: object, what: str) -> int:
     if not isinstance(text, str) or str(int(text)) != text:
-        raise CharTableCacheError(f"{what} must be a canonical decimal string, got {text!r}")
+        raise ValueError(f"{what} must be a canonical decimal string, got {text!r}")
     return int(text)
+
+
+# A row of canonical decimal strings, comma-joined: no sign on 0, no leading zeros.
+_CANONICAL_LINE = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*")
+
+
+def _decode_row(row: object, what: str, digest) -> tuple[int, ...]:
+    """Decode a JSON array of canonical decimal strings and feed its line to digest.
+
+    The row is joined, parsed and matched in C-level passes.  int() rejects
+    a comma, so once every value parses the joined line splits back into the
+    values, and the pattern checks each of them.  A row that fails is decoded
+    again value by value, so the error names the first bad value.
+    """
+    if type(row) is not list:
+        raise TypeError(f"expected a JSON array of {what} strings, got {type(row).__name__}")
+    try:
+        line = ",".join(row)
+        ints = tuple(map(int, row))
+    except (TypeError, ValueError):
+        line = ""
+    if not _CANONICAL_LINE.fullmatch(line):
+        ints = tuple(_decode_int(v, what) for v in row)
+    digest.update((line + "\n").encode("ascii"))
+    return ints
 
 
 def table_from_json(text: str, *, source: str = "<memory>") -> CharTable:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: arrays nested past the interpreter's recursion limit
         raise CharTableCacheError(f"cache file {source} is not valid JSON: {e}") from None
     try:
         if not isinstance(payload, dict):
             raise CharTableCacheError(f"cache file {source}: top level must be an object")
-        missing = {"schema_version", "n", "order", "values"} - payload.keys()
+        missing = {"schema_version", "n", "order", "values", "sha256"} - payload.keys()
         if missing:
             raise CharTableCacheError(f"cache file {source}: missing keys {sorted(missing)}")
         version = _decode_int(payload["schema_version"], "schema_version")
@@ -358,10 +422,10 @@ def table_from_json(text: str, *, source: str = "<memory>") -> CharTable:
                 f"cache file {source}: schema_version {version} != expected {SCHEMA_VERSION}"
             )
         n = _decode_int(payload["n"], "n")
-        order = tuple(
-            tuple(_decode_int(part, "order entry") for part in p) for p in payload["order"]
-        )
-        if order != partitions_of(n):
+        digest = _payload_hash(n)
+        order = tuple(_decode_row(p, "order entry", digest) for p in payload["order"])
+        # compared lazily: a large n in a damaged file must not enumerate p(n) partitions
+        if order != tuple(islice(iter_partitions(n), len(order) + 1)):
             raise CharTableCacheError(f"cache file {source}: order is not canonical for n={n}")
         raw = payload["values"]
         if len(raw) != len(order):
@@ -370,7 +434,11 @@ def table_from_json(text: str, *, source: str = "<memory>") -> CharTable:
         for row in raw:
             if len(row) != len(order):
                 raise CharTableCacheError(f"cache file {source}: ragged row of length {len(row)}")
-            values.append(tuple(_decode_int(v, "value") for v in row))
+            values.append(_decode_row(row, "value", digest))
+        if payload["sha256"] != digest.hexdigest():
+            raise CharTableCacheError(
+                f"cache file {source}: sha256 does not match its contents (edited or damaged)"
+            )
         return CharTable(n=n, order=order, values=tuple(values))
     except (TypeError, ValueError) as e:
         raise CharTableCacheError(f"cache file {source} is malformed: {e}") from None
@@ -403,5 +471,8 @@ def save_table(table: CharTable, path: str | Path) -> None:
 
 def load_table(path: str | Path) -> CharTable:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise CharTableCacheError(f"cache file {path} is not UTF-8 text: {e}") from None
     return table_from_json(text, source=str(path))

@@ -163,27 +163,18 @@ def _table(n: int, cfg: RunConfig) -> CharTable:
 
 
 def _render_table_csv(table: CharTable) -> str:
-    lines = ["," + ",".join(_dot(mu) for mu in table.order)]
-    for lam, row in zip(table.order, table.values):
-        lines.append(_dot(lam) + "," + ",".join(str(v) for v in row))
+    lines = [",".join(["", *map(_dot, table.order)])]
+    lines += [",".join([_dot(lam), *map(str, row)]) for lam, row in zip(table.order, table.values)]
     return "\n".join(lines) + "\n"
 
 
 def _render_table_pretty(table: CharTable) -> str:
-    headers = [""] + [_dot(mu) for mu in table.order]
-    rows = [
-        [_dot(lam)] + [str(v) for v in row] for lam, row in zip(table.order, table.values)
-    ]
-    widths = [max(len(line[i]) for line in [headers] + rows) for i in range(len(headers))]
-    out = []
-    for line in [headers] + rows:
-        out.append(
-            "  ".join(
-                cell.ljust(widths[i]) if i == 0 else cell.rjust(widths[i])
-                for i, cell in enumerate(line)
-            ).rstrip()
-        )
-    return "\n".join(out) + "\n"
+    lines = [["", *map(_dot, table.order)]]
+    lines += [[_dot(lam), *map(str, row)] for lam, row in zip(table.order, table.values)]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    # labels left-aligned, values right-aligned, two spaces between columns
+    fmt = "  ".join([f"{{:<{widths[0]}}}", *(f"{{:>{w}}}" for w in widths[1:])])
+    return "".join([fmt.format(*line).rstrip() + "\n" for line in lines])
 
 
 def _cmd_chartable(args: argparse.Namespace, cfg: RunConfig) -> int:

@@ -16,13 +16,14 @@ import math
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 __all__ = [
     "Partition",
     "DominanceResult",
     "as_partition",
     "partitions_of",
+    "iter_partitions",
     "multiplicities",
     "from_multiplicities",
     "centralizer_order",
@@ -67,18 +68,28 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     This ordering is the canonical row/column order used by character tables,
     so it must never change.
     """
+    return tuple(iter_partitions(n))
+
+
+def iter_partitions(n: int) -> Iterator[Partition]:
+    """The partitions of n in the order of partitions_of(n), generated lazily.
+
+    A caller that needs only a prefix (say, to compare a list of unknown
+    length against the canonical order) stops early instead of building all
+    p(n) of them.
+    """
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
+    return _descending(n, n)
 
-    def gen(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            for rest in gen(remaining - part, part):
-                yield (part,) + rest
 
-    return tuple(gen(n, n))
+def _descending(remaining: int, cap: int) -> Iterator[Partition]:
+    if remaining == 0:
+        yield ()
+        return
+    for part in range(min(cap, remaining), 0, -1):
+        for rest in _descending(remaining - part, part):
+            yield (part,) + rest
 
 
 def multiplicities(p: Partition) -> dict[int, int]:

@@ -109,17 +109,32 @@ def covers_all_nonlinear(mu: Partition, nu: Partition, table: CharTable) -> bool
     return True
 
 
+# bytes 0 and 1 to the digits "0" and "1", for int(..., 2)
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _column_masks(rows: list[tuple[int, ...]], width: int) -> list[int]:
+    """One int per column, with a bit set for each of rows that is non-zero there.
+
+    A pair of columns covers the rows exactly when their masks share no bit.
+    Each mask is built in C-level passes: the column's truth values as bytes,
+    read as a binary numeral.
+    """
+    if not rows:
+        return [0] * width
+    return [int(bytes(map(bool, column)).translate(_BINARY_DIGITS), 2) for column in zip(*rows)]
+
+
 def find_covering_pairs(n: int, table: CharTable) -> CoveringPairReport:
     """Search all unordered pairs of classes of S_n for covering pairs."""
     if table.n != n:
         raise ValueError(f"table is for n={table.n}, not n={n}")
     order = table.order
     nonlinear = _nonlinear_rows(table)
+    masks = _column_masks([table.values[i] for i in nonlinear], len(order))
     pairs: list[Pair] = []
-    for a in range(len(order)):
-        for b in range(a, len(order)):
-            if all(table.values[i][a] == 0 or table.values[i][b] == 0 for i in nonlinear):
-                pairs.append((order[a], order[b]))
+    for a, mask in enumerate(masks):
+        pairs.extend((order[a], order[b]) for b in range(a, len(order)) if not mask & masks[b])
 
     # a single class covers exactly when it covers paired with itself
     if any(mu == nu for mu, nu in pairs):

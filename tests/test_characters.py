@@ -1,10 +1,16 @@
+import hashlib
+import json
 import math
 import os
+import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import character_table_oracle, degree_by_hooks
 from symchar import (
+    CharTable,
     CharTableCacheError,
     RimHookRemoval,
     border_strip_removals,
@@ -284,7 +290,7 @@ def test_corrupt_cache_fails_loudly(tmp_path):
         character_table(4, cache_dir=tmp_path)
 
     good = table_to_json(character_table(4))
-    path.write_text(good.replace('"schema_version": "1"', '"schema_version": "2"'))
+    path.write_text(good.replace('"schema_version": "2"', '"schema_version": "3"'))
     with pytest.raises(CharTableCacheError):
         character_table(4, cache_dir=tmp_path)
 
@@ -296,6 +302,94 @@ def test_corrupt_cache_fails_loudly(tmp_path):
     path.write_text(good.replace('"1"', '"01"', 1))
     with pytest.raises(CharTableCacheError):
         character_table(4, cache_dir=tmp_path)
+
+
+def test_table_to_json_is_json_dumps_of_the_payload():
+    for n in range(1, 15):
+        t = character_table(n)
+        text = table_to_json(t)
+        payload = {
+            "schema_version": str(SCHEMA_VERSION),
+            "n": str(n),
+            "order": [[str(part) for part in p] for p in t.order],
+            "values": [[str(v) for v in row] for row in t.values],
+            "sha256": json.loads(text)["sha256"],
+        }
+        assert text == json.dumps(payload, indent=2) + "\n", n
+        # the digest covers the canonical payload: one comma-joined line each
+        # for the version, n, every order entry and every row of values
+        lines = [payload["schema_version"], payload["n"]]
+        lines += [",".join(row) for row in payload["order"] + payload["values"]]
+        canonical = "".join(line + "\n" for line in lines).encode("ascii")
+        assert payload["sha256"] == hashlib.sha256(canonical).hexdigest(), n
+
+
+def _with_value(text: str, row: int, col: int, value: str) -> str:
+    # the file rewritten with one value changed and the old digest kept
+    payload = json.loads(text)
+    payload["values"][row][col] = value
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "damage, match",
+    [
+        (lambda good: b"\xff\xfe{", "not UTF-8"),
+        (lambda good: b"[" * 200_000, "not valid JSON"),
+        # chi_(4,1)((5)) is -1; 7 is still a canonical integer
+        (lambda good: _with_value(good, 1, 0, "7").encode(), "sha256 does not match"),
+        # a non-canonical value is named, whatever the digest says
+        (lambda good: _with_value(good, 1, 0, "-01").encode(), "'-01'"),
+        (lambda good: good.replace('"sha256": "', '"sha256": "0').encode(), "sha256 does not match"),
+        # n and the first order entry both made 200: rejected without
+        # enumerating the 4 * 10^12 partitions of 200
+        (lambda good: good.replace('"5"', '"200"', 2).encode(), "order is not canonical"),
+    ],
+    ids=["not-utf8", "deeply-nested", "tampered-value", "non-canonical-value", "tampered-digest", "large-n"],
+)
+def test_damaged_cache_file_fails_loudly(tmp_path, damage, match):
+    table_cache_path(tmp_path, 5).write_bytes(damage(table_to_json(character_table(5))))
+    with pytest.raises(CharTableCacheError, match=match):
+        character_table(5, cache_dir=tmp_path)
+
+
+@st.composite
+def _tables(draw) -> CharTable:
+    # any integers in canonical order: the codec must carry values of every size and sign
+    order = partitions_of(draw(st.integers(1, 6)))
+    row = st.lists(st.integers(), min_size=len(order), max_size=len(order)).map(tuple)
+    values = draw(st.lists(row, min_size=len(order), max_size=len(order)).map(tuple))
+    return CharTable(n=sum(order[0]), order=order, values=values)
+
+
+@settings(deadline=None)
+@given(_tables())
+def test_json_round_trip_property(table):
+    assert table_from_json(table_to_json(table)) == table
+
+
+_JSON_TOKEN = re.compile(r'"[^"]*"|[][{}:,]|-?[0-9]+|true|false|null')
+_REPLACEMENTS = [
+    "", "[", "]", "{", "}", ",", ":", "null", "true", "0", "7", "[]", "{}", '""',
+    '"0"', '"1"', '"-1"', '"2"', '"7"', '"01"', '"-0"', '"+1"', '" 1"', '"1_0"', '"x"',
+    '"600"', '"99999999999"', '"' + "9" * 5000 + '"',
+    '"schema_version"', '"n"', '"order"', '"values"', '"sha256"',
+]  # fmt: skip
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_single_token_mutation_is_a_cache_error(n, data):
+    text = table_to_json(character_table(n))
+    tokens = list(_JSON_TOKEN.finditer(text))
+    token = tokens[data.draw(st.integers(0, len(tokens) - 1), label="token")]
+    new = data.draw(
+        st.sampled_from(_REPLACEMENTS) | st.sampled_from([t.group() for t in tokens]),
+        label="replacement",
+    )
+    assume(new != token.group())
+    with pytest.raises(CharTableCacheError):
+        table_from_json(text[: token.start()] + new + text[token.end() :])
 
 
 def test_cache_file_of_another_n_fails_loudly(tmp_path):

@@ -50,7 +50,7 @@ def test_chartable_json(cache, capsys):
     code = main(["--cache-dir", cache, "chartable", "4", "--format", "json"])
     assert code == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     assert payload["n"] == "4"
     assert payload["order"][0] == ["4"]
     assert payload["order"][-1] == ["1", "1", "1", "1"]
@@ -106,6 +106,30 @@ def test_chartable_corrupt_cache_is_loud(cache, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+def _tampered_s5() -> bytes:
+    # chi_(4,1)((5)) rewritten from -1 to 7, a canonical integer, digest kept
+    payload = json.loads(character_table(5).json_text)
+    payload["values"][1][0] = "7"
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{", b"[" * 200_000, None],
+    ids=["not-utf8", "deeply-nested", "tampered"],
+)
+def test_unreadable_cache_file_is_io_failure(cache, capsys, content):
+    path = table_cache_path(cache, 5)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(_tampered_s5() if content is None else content)
+    for argv in (["chartable", "5"], ["vanishing-pairs", "5", "--format", "csv"]):
+        assert main(["--cache-dir", cache, *argv]) == EXIT_IO_FAILURE, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
 
 
 def test_chartable_out_to_missing_dir_is_io_failure(cache, tmp_path, capsys):

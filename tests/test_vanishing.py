@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import character_table_oracle, covering_pairs_oracle
 from symchar import (
     CharTable,
+    character_table,
     covers_all_nonlinear,
     find_covering_pairs,
     k_of_sn,
@@ -75,6 +78,7 @@ def test_find_covering_pairs_small_n_vacuous(table_for):
     # no non-linear characters at all, so every pair covers
     report1 = find_covering_pairs(1, table_for(1))
     assert report1.vacuous
+    assert report1.matches_theorem is None
     assert report1.k_value == 1
     assert report1.pairs == (((1,), (1,)),)
 
@@ -114,11 +118,28 @@ def test_covering_pairs_match_oracle_on_oracle_tables():
 
 
 def test_covering_pairs_match_oracle_on_package_tables(table_for):
-    for n in range(6, 13):
+    # n = 1, 2 have no non-linear rows: every pair covers
+    for n in (1, 2, *range(6, 13)):
         t = table_for(n)
         labels = tuple(tuple(lam) for lam in t.order)
         rows = tuple(tuple(row) for row in t.values)
         assert _as_set(find_covering_pairs(n, t)) == covering_pairs_oracle(labels, rows), n
+
+
+@settings(deadline=None)
+@given(st.integers(3, 6), st.data())
+def test_covering_pairs_match_oracle_on_random_zero_patterns(n, data):
+    # real tables for n > 6 have a single covering pair; zeroing random values
+    # of the non-linear rows (degrees kept) gives the scan many pairs to find
+    t = character_table(n)
+    width = len(t.order)
+    values = [t.values[0]]
+    for row in t.values[1:-1]:
+        zeroed = data.draw(st.lists(st.booleans(), min_size=width - 1, max_size=width - 1))
+        values.append(tuple(0 if z else v for z, v in zip(zeroed, row)) + row[-1:])
+    values = tuple(values) + t.values[-1:]
+    report = find_covering_pairs(n, CharTable(n=n, order=t.order, values=values))
+    assert _as_set(report) == covering_pairs_oracle(t.order, values)
 
 
 def test_covering_pairs_have_odd_parity_product(table_for):
