@@ -4,8 +4,10 @@ The coefficient of the class sum of gamma in the product of the class sums
 of mu and nu counts pairs (x, y) in C_mu x C_nu with x*y = g for any fixed
 g in C_gamma.  structure_constant computes it from character data with exact
 integer arithmetic; structure_constant_bruteforce counts the pairs directly
-by enumerating the smaller of C_mu and C_nu, each built member by member
-without sweeping S_n.  The two never share code, so each checks the other.
+by enumerating the smallest of C_mu, C_nu and C_gamma, each built member by
+member without sweeping S_n, and walking the cycles of one product per
+member only until the first cycle that the wanted cycle type has no room
+for.  The two never share code, so each checks the other.
 
 Permutations are tuples of images on {0, ..., n-1}; composition is
 (a * b)(t) = a[b[t]].  Cycle types are label-independent, so the 0-based
@@ -40,7 +42,7 @@ __all__ = [
 
 Perm = tuple[int, ...]
 
-BRUTE_FORCE_DEFAULT_LIMIT = 8
+BRUTE_FORCE_DEFAULT_LIMIT = 9
 
 
 class BruteForceLimitError(ValueError):
@@ -175,14 +177,24 @@ def structure_constant_bruteforce(
 ) -> int:
     """Count pairs (x, y) in C_mu x C_nu with x*y = g by direct enumeration.
 
-    g defaults to class_representative(gamma); passing another member of the
-    class must give the same count.  Class sums commute ((x, y) -> (y, y^-1 x y)
-    maps the solutions of x*y = g one-to-one to those of y*x' = g), so mu and
-    nu are swapped when C_nu is the smaller class.  Then w = x^{-1} runs over
-    C_mu, which is closed under inversion, and the cycle type of w * g is
-    tested: the cost is min(|C_mu|, |C_nu|) permutation products, refused
-    beyond `limit`.  class_size only picks the smaller class; every member of
-    the enumerated class is counted.
+    Class sums commute ((x, y) -> (y, y^-1 x y) maps the solutions of x*y = g
+    one-to-one to those of y*x' = g), so mu and nu are swapped when C_nu is
+    the smaller class.  Then the smaller of C_mu and C_gamma is enumerated,
+    one cycle walk per member, so the cost is min(|C_mu|, |C_nu|, |C_gamma|)
+    walks, refused beyond `limit`:
+
+    - C_mu, for g = `representative` (any member of C_gamma must give the
+      same count) or class_representative(gamma): w = x^{-1} runs over C_mu,
+      which is closed under inversion, and w is counted when w * g has cycle
+      type nu.  class_size only picks this route.
+    - C_gamma, when no representative is passed and |C_gamma| < |C_mu|.
+      Summing the count over all g in C_gamma, and using that it is the same
+      for every x in C_mu, gives
+          |C_gamma| * a = |C_mu| * #{z in C_gamma : x0^{-1} z in C_nu}
+      with x0 = class_representative(mu).  |C_gamma| is the number of
+      members enumerated and |C_mu| is class_size(mu), the one class size
+      that enters a count; a division that leaves a remainder raises
+      RuntimeError.
     """
     mu, nu, gamma = as_partition(mu), as_partition(nu), as_partition(gamma)
     n = sum(mu)
@@ -190,14 +202,56 @@ def structure_constant_bruteforce(
         raise ValueError(f"classes must all partition the same n: {mu}, {nu}, {gamma}")
     if n > limit:
         raise BruteForceLimitError(f"brute force at n={n} exceeds limit {limit}")
-    g = class_representative(gamma) if representative is None else tuple(representative)
-    if cycle_type(g) != gamma:
-        raise ValueError(f"representative {g} does not have cycle type {gamma}")
     if class_size(nu) < class_size(mu):
         mu, nu = nu, mu
+    if representative is None and class_size(gamma) < class_size(mu):
+        members = conjugacy_class(gamma, limit=limit)
+        # x0^{-1} z is conjugate to z x0^{-1}, the product _count_products walks
+        hits = _count_products(members, inverse(class_representative(mu)), nu)
+        count, rem = divmod(class_size(mu) * hits, len(members))
+        if rem:
+            raise RuntimeError(
+                f"|C_mu| * {hits} is not a multiple of |C_gamma| = {len(members)} "
+                f"for ({mu}, {nu}, {gamma}); the class enumeration is inconsistent"
+            )
+        return count
+    g = class_representative(gamma) if representative is None else tuple(representative)
+    if sorted(g) != list(range(n)) or cycle_type(g) != gamma:
+        raise ValueError(f"representative {g} is not a permutation of cycle type {gamma}")
+    return _count_products(conjugacy_class(mu, limit=limit), g, nu)
+
+
+def _count_products(members: tuple[Perm, ...], g: Perm, target: Partition) -> int:
+    """Number of w in members for which w * g has cycle type target.
+
+    The cycles of w * g are followed in place (t -> w[g[t]]), each from its
+    smallest point, against a count of the parts of target per length.  A w
+    is dropped at the first cycle whose length has no part left, and counted
+    only when every cycle has used up one part: since the lengths add up to
+    n = sum(target), all parts are then used, each exactly once.
+    """
+    n = len(g)
+    parts_left = [0] * (n + 1)
+    for part in target:
+        parts_left[part] += 1
+    points = range(n)
     count = 0
-    for w in conjugacy_class(mu, limit=limit):
-        if cycle_type(compose(w, g)) == nu:
+    for w in members:
+        left = parts_left.copy()
+        seen = [False] * n
+        for start in points:
+            if seen[start]:
+                continue
+            t = w[g[start]]
+            length = 1
+            while t != start:
+                seen[t] = True
+                t = w[g[t]]
+                length += 1
+            if not left[length]:
+                break
+            left[length] -= 1
+        else:
             count += 1
     return count
 

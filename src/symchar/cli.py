@@ -292,15 +292,15 @@ def _cmd_structure_constant(args: argparse.Namespace, cfg: RunConfig) -> int:
     if not (sum(mu) == sum(nu) == sum(gamma)):
         raise ValueError(f"mu, nu, gamma must partition the same n: {mu}, {nu}, {gamma}")
     n = sum(mu)
-    table = _table(n, cfg)
-    value = structure_constant(mu, nu, gamma, table)
-    if not args.verify:
-        print(value)
-        return EXIT_OK
-    if n > cfg.brute_force_limit:
+    # refused before the table is loaded or built, so a refusal costs nothing
+    if args.verify and n > cfg.brute_force_limit:
         raise BruteForceLimitError(
             f"--verify at n={n} exceeds the brute-force limit {cfg.brute_force_limit}"
         )
+    value = structure_constant(mu, nu, gamma, _table(n, cfg))
+    if not args.verify:
+        print(value)
+        return EXIT_OK
     counted = structure_constant_bruteforce(mu, nu, gamma, limit=cfg.brute_force_limit)
     print(value)
     print(counted)

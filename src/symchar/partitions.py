@@ -39,6 +39,13 @@ __all__ = [
 
 Partition = tuple[int, ...]
 
+# Largest n that parse_partition accepts.  The partitions the package can do
+# anything with are far smaller (a full table stops near n = 26; `symchar
+# eval --lambda 2,1^1998 --mu 1^2000` takes seconds), and the budget is
+# checked before a "1^k" is expanded, so no text can make the parser build a
+# huge tuple.
+MAX_PARTITION_SIZE = 2000
+
 
 class DominanceResult(Enum):
     """Outcome of comparing two partitions of the same n in dominance order."""
@@ -191,8 +198,11 @@ def parse_partition(text: str) -> Partition:
     Accepts positive integers in any order, plus the single documented
     shorthand "1^k" for k trailing ones (e.g. "5,1^3" -> (5, 1, 1, 1)).
     Any other exponent notation is rejected.  The result is sorted descending.
+    A partition of more than MAX_PARTITION_SIZE is rejected before any "1^k"
+    is expanded.
     """
     parts: list[int] = []
+    total = 0
     for raw in text.split(","):
         token = raw.strip()
         if not token:
@@ -203,10 +213,15 @@ def parse_partition(text: str) -> Partition:
                 raise ValueError(
                     f"exponent shorthand is only supported for ones ('1^k'), got {token!r}"
                 )
-            count = _parse_positive_int(exp_text.strip(), text)
-            parts.extend([1] * count)
+            part, copies = 1, _parse_positive_int(exp_text.strip(), text)
         else:
-            parts.append(_parse_positive_int(token, text))
+            part, copies = _parse_positive_int(token, text), 1
+        total += part * copies
+        if total > MAX_PARTITION_SIZE:
+            raise ValueError(
+                f"partition text {text!r} sums past the size budget {MAX_PARTITION_SIZE}"
+            )
+        parts.extend([part] * copies)
     return tuple(sorted(parts, reverse=True))
 
 

@@ -222,6 +222,19 @@ def test_conjugate_symmetry():
                 assert t.value(conjugate(lam), mu) == sign_value(mu) * t.value(lam, mu)
 
 
+@settings(deadline=None)
+@given(st.integers(1, 16), st.data())
+def test_conjugate_symmetry_property(n, data):
+    # chi_lambda'(mu) = sign(mu) * chi_lambda(mu), by MN and by the column build
+    classes = partitions_of(n)
+    lam = data.draw(st.sampled_from(classes), label="lambda")
+    mu = data.draw(st.sampled_from(classes), label="mu")
+    expected = sign_value(mu) * mn_char(lam, mu)
+    assert mn_char(conjugate(lam), mu) == expected
+    table = character_table(n)
+    assert table.value(conjugate(lam), mu) == sign_value(mu) * table.value(lam, mu) == expected
+
+
 def test_memo_reuse_and_reset():
     reset_mn_memo()
     assert mn_memo_size() == 0

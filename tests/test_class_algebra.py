@@ -56,6 +56,11 @@ def test_conjugacy_class_sizes():
             assert all(cycle_type(x) == mu for x in members)
             union.update(members)
         assert union == set(itertools.permutations(range(n)))
+    # the brute force over C_gamma multiplies by class_size(mu), so that size
+    # must be the number of members built at every n up to the default limit
+    for n in (8, 9):
+        for mu in partitions_of(n):
+            assert len(conjugacy_class(mu, limit=9)) == class_size(mu), mu
 
 
 def test_conjugacy_class_limit():
@@ -178,18 +183,64 @@ def test_bruteforce_matches_independent_convolution_oracle():
             )
 
 
+def _gamma_is_smallest(mu, nu, gamma):
+    return class_size(gamma) < min(class_size(mu), class_size(nu))
+
+
 def test_bruteforce_independent_of_representative():
     # any member of C_gamma gives the same count (here: a conjugate of the
-    # canonical representative by an n-cycle)
+    # canonical representative by an n-cycle); a passed representative always
+    # fixes g, so where C_gamma is the smallest class this also compares the
+    # count over C_gamma with the count for one fixed g
     for n in (4, 5, 6):
         rot = tuple((i + 1) % n for i in range(n))
-        for mu, nu, gamma in deterministic_triples(n, 8):
+        classes = partitions_of(n)
+        smallest_gamma = [
+            (mu, nu, gamma)
+            for mu in classes
+            for nu in classes
+            for gamma in classes
+            if _gamma_is_smallest(mu, nu, gamma)
+        ]
+        for mu, nu, gamma in deterministic_triples(n, 8) + tuple(smallest_gamma[::5]):
             g = class_representative(gamma)
             conjugated = compose(rot, compose(g, inverse(rot)))
             assert cycle_type(conjugated) == gamma
-            assert structure_constant_bruteforce(mu, nu, gamma) == (
+            default = structure_constant_bruteforce(mu, nu, gamma)
+            assert default == structure_constant_bruteforce(mu, nu, gamma, representative=g)
+            assert default == (
                 structure_constant_bruteforce(mu, nu, gamma, representative=conjugated)
             )
+
+
+def test_bruteforce_over_the_smallest_class_gamma(table_for):
+    # every triple that takes the C_gamma route, against the convolution
+    # oracle over all of S_n and against the character sum
+    checked = 0
+    for n in range(1, 7):
+        t = table_for(n)
+        classes = partitions_of(n)
+        for mu in classes:
+            for nu in classes:
+                for gamma in classes:
+                    if not _gamma_is_smallest(mu, nu, gamma):
+                        continue
+                    counted = structure_constant_bruteforce(mu, nu, gamma)
+                    assert counted == structure_constant_oracle(mu, nu, gamma), (mu, nu, gamma)
+                    assert counted == structure_constant(mu, nu, gamma, t), (mu, nu, gamma)
+                    checked += 1
+    assert checked == 5 + 27 + 86 + 345  # none at n = 1, 2; then n = 3..6
+
+
+def test_bruteforce_over_gamma_checks_the_division(monkeypatch):
+    # a class enumeration that missed a member: 24 * 9 hits over 19 members
+    # of C_(3,1,1) leaves a remainder, which must not be rounded away
+    import symchar.class_algebra as class_algebra
+
+    full = class_algebra.conjugacy_class
+    monkeypatch.setattr(class_algebra, "conjugacy_class", lambda mu, **kw: full(mu, **kw)[:-1])
+    with pytest.raises(RuntimeError, match="not a multiple"):
+        structure_constant_bruteforce((5,), (5,), (3, 1, 1))
 
 
 def test_bruteforce_rejects_bad_inputs():
@@ -199,6 +250,10 @@ def test_bruteforce_rejects_bad_inputs():
         structure_constant_bruteforce((3,), (2, 1), (2, 2))
     with pytest.raises(ValueError):
         structure_constant_bruteforce((3,), (3,), (3,), representative=(0, 1, 2))
+    # not a permutation, though its functional graph has the cycle type
+    # (2, 1); a cycle walk through it need not come back to its start
+    with pytest.raises(ValueError):
+        structure_constant_bruteforce((2, 1), (2, 1), (2, 1), representative=(1, 1, 0))
 
 
 def test_deterministic_triples_are_deterministic():

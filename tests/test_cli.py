@@ -245,6 +245,15 @@ def test_eval_class_with_a_thousand_parts(cache, capsys):
     assert capsys.readouterr().out == "1101\n"
 
 
+def test_eval_refuses_a_partition_past_the_size_budget(cache, capsys):
+    # refused while parsing, before "1^99999999" becomes a 10^8-tuple
+    code = main(["--cache-dir", cache, "eval", "--lambda", "1^99999999", "--mu", "99999999"])
+    assert code == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "size budget" in captured.err
+
+
 def test_eval_methods_agree(cache, capsys):
     for lam, mu in (("6,1", "4,2,1"), ("5,2", "3,2,1,1"), ("4,2,1", "3,2,2")):
         values = []
@@ -347,6 +356,8 @@ def test_structure_constant_verify_respects_limit(cache, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+    # refused before the table of S_6 was built or written
+    assert not Path(cache).exists() or not any(Path(cache).iterdir())
     # without --verify the exact formula still answers at any n
     assert main(argv[:-1]) == EXIT_OK
     assert capsys.readouterr().out.strip().isdigit()

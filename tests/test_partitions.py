@@ -1,6 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import partition_count, perm_sign_by_inversions, rep_of_type
 from symchar import (
@@ -17,7 +20,7 @@ from symchar import (
     partitions_of,
     sign_value,
 )
-from symchar.partitions import as_partition, from_multiplicities
+from symchar.partitions import MAX_PARTITION_SIZE, as_partition, from_multiplicities
 
 
 def test_canonical_order_small():
@@ -210,6 +213,36 @@ def test_parse_partition():
 def test_parse_partition_rejects(bad):
     with pytest.raises(ValueError):
         parse_partition(bad)
+
+
+def test_parse_partition_size_budget():
+    top = MAX_PARTITION_SIZE
+    assert parse_partition(f"1^{top}") == (1,) * top
+    assert parse_partition(f"{top - 3},1^3") == (top - 3, 1, 1, 1)
+    assert parse_partition(str(top)) == (top,)
+    for text in (f"1^{top + 1}", f"{top + 1}", f"{top},1", f"1^{top // 2},1^{top // 2 + 1}"):
+        with pytest.raises(ValueError, match="size budget"):
+            parse_partition(text)
+
+
+def test_parse_partition_refuses_before_expanding():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="size budget"):
+            parse_partition("1^99999999")
+        with pytest.raises(ValueError, match="size budget"):
+            parse_partition("5,1^99999999")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # a 10^8-element list would be 800 MB
+
+
+@given(st.lists(st.integers(1, 50), min_size=1, max_size=40))
+def test_parse_format_round_trip_property(parts):
+    # () formats as "", which is not partition text; 40 * 50 is within budget
+    p = tuple(sorted(parts, reverse=True))
+    assert parse_partition(format_partition(p)) == p
 
 
 def test_format_partition():
