@@ -50,7 +50,12 @@ class BruteForceLimitError(ValueError):
 
 
 def cycle_type(perm: Perm) -> Partition:
-    """Cycle type of a permutation given as a tuple of images, as a partition."""
+    """Cycle type of a permutation given as a tuple of images, as a partition.
+
+    Raises ValueError unless perm is a permutation of range(len(perm)).
+    """
+    if sorted(perm) != list(range(len(perm))):
+        raise ValueError(f"{perm} is not a permutation of range({len(perm)})")
     seen = [False] * len(perm)
     lengths: list[int] = []
     for start in range(len(perm)):
@@ -216,7 +221,7 @@ def structure_constant_bruteforce(
             )
         return count
     g = class_representative(gamma) if representative is None else tuple(representative)
-    if sorted(g) != list(range(n)) or cycle_type(g) != gamma:
+    if cycle_type(g) != gamma:
         raise ValueError(f"representative {g} is not a permutation of cycle type {gamma}")
     return _count_products(conjugacy_class(mu, limit=limit), g, nu)
 

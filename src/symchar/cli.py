@@ -1,10 +1,12 @@
 """Batch command-line interface.
 
 Subcommands: chartable, eval, vanishing-pairs, structure-constant, verify.
+Each _cmd_* reads the parsed arguments and calls the library; main resolves
+the cache directory (--cache-dir, $SYMCHAR_CACHE, ./.symchar-cache) first.
 Standard output carries only the requested payload; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification mismatch or failed checks, 2 invalid
-input, 3 I/O failure, 4 brute-force verification requested beyond the
-configured limit.
+input (including a table past characters.MAX_TABLE_N), 3 I/O failure, 4
+brute-force verification requested beyond the configured limit.
 
 JSON output renders every integer as a decimal string so arbitrarily large
 character values survive consumers that parse numbers as doubles.
@@ -17,10 +19,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from pathlib import Path
 
 from .characters import (
+    MAX_TABLE_N,
     CharTable,
     CharTableCacheError,
     character_table,
@@ -52,7 +53,7 @@ from .partitions import (
 )
 from .vanishing import CoveringPairReport, find_covering_pairs, verify_main_theorem
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 DEFAULT_CACHE_DIR = "./.symchar-cache"
 CACHE_ENV_VAR = "SYMCHAR_CACHE"
@@ -62,15 +63,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_IO_FAILURE = 3
 EXIT_BRUTE_FORCE_LIMIT = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings shared by all subcommands."""
-
-    cache_dir: Path
-    format: str = "pretty"
-    brute_force_limit: int = BRUTE_FORCE_DEFAULT_LIMIT
 
 
 def _log(message: str) -> None:
@@ -115,15 +107,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("n", type=_positive_int)
     p_table.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
     p_table.add_argument("--out", default=None, help="write to this path instead of stdout")
+    p_table.set_defaults(run=_cmd_chartable)
 
     p_eval = sub.add_parser("eval", help="evaluate one character value")
     p_eval.add_argument("--lambda", dest="lam", required=True, help="character label, e.g. 6,1")
     p_eval.add_argument("--mu", required=True, help="class cycle type, e.g. 7 or 5,1^2")
     p_eval.add_argument("--method", choices=("mn", "formula", "recursion"), default="mn")
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_pairs = sub.add_parser("vanishing-pairs", help="covering pairs of classes for S_n")
     p_pairs.add_argument("n", type=_positive_int)
     p_pairs.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+    p_pairs.set_defaults(run=_cmd_vanishing_pairs)
 
     p_sc = sub.add_parser("structure-constant", help="class-algebra structure constant")
     p_sc.add_argument("--mu", required=True)
@@ -134,6 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also count by brute-force enumeration and compare",
     )
+    p_sc.set_defaults(run=_cmd_structure_constant)
 
     p_verify = sub.add_parser("verify", help="run self-check suites over a range of n")
     p_verify.add_argument(
@@ -143,20 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--n-min", type=_positive_int, default=3)
     p_verify.add_argument("--n-max", type=_positive_int, default=8)
+    p_verify.set_defaults(run=_cmd_verify)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
-    return RunConfig(
-        cache_dir=Path(cache_dir),
-        format=getattr(args, "format", "pretty"),
-        brute_force_limit=args.brute_force_limit,
-    )
-
-
-def _table(n: int, cfg: RunConfig) -> CharTable:
-    return character_table(n, cache_dir=cfg.cache_dir)
 
 
 # --- chartable -------------------------------------------------------------
@@ -177,14 +161,16 @@ def _render_table_pretty(table: CharTable) -> str:
     return "".join([fmt.format(*line).rstrip() + "\n" for line in lines])
 
 
-def _cmd_chartable(args: argparse.Namespace, cfg: RunConfig) -> int:
-    table = _table(args.n, cfg)
-    if cfg.format == "json":
-        payload = table.json_text
-    elif cfg.format == "csv":
-        payload = _render_table_csv(table)
-    else:
-        payload = _render_table_pretty(table)
+_TABLE_RENDERERS = {
+    "json": lambda table: table.json_text,
+    "csv": _render_table_csv,
+    "pretty": _render_table_pretty,
+}
+
+
+def _cmd_chartable(args: argparse.Namespace) -> int:
+    table = character_table(args.n, cache_dir=args.cache_dir)
+    payload = _TABLE_RENDERERS[args.format](table)
     if args.out is not None:
         write_text_atomic(args.out, payload)
     else:
@@ -205,7 +191,7 @@ def _shape_for(lam: Partition, n: int) -> NearHookShape | None:
     return None
 
 
-def _cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_eval(args: argparse.Namespace) -> int:
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     if sum(lam) != sum(mu):
@@ -270,39 +256,31 @@ def _pairs_pretty(report: CoveringPairReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_vanishing_pairs(args: argparse.Namespace, cfg: RunConfig) -> int:
-    table = _table(args.n, cfg)
-    report = find_covering_pairs(args.n, table)
-    if cfg.format == "json":
-        sys.stdout.write(_pairs_json(report))
-    elif cfg.format == "csv":
-        sys.stdout.write(_pairs_csv(report))
-    else:
-        sys.stdout.write(_pairs_pretty(report))
+_PAIRS_RENDERERS = {"json": _pairs_json, "csv": _pairs_csv, "pretty": _pairs_pretty}
+
+
+def _cmd_vanishing_pairs(args: argparse.Namespace) -> int:
+    report = find_covering_pairs(args.n, character_table(args.n, cache_dir=args.cache_dir))
+    sys.stdout.write(_PAIRS_RENDERERS[args.format](report))
     return EXIT_OK
 
 
 # --- structure-constant ----------------------------------------------------
 
 
-def _cmd_structure_constant(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_structure_constant(args: argparse.Namespace) -> int:
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
     gamma = parse_partition(args.gamma)
     if not (sum(mu) == sum(nu) == sum(gamma)):
         raise ValueError(f"mu, nu, gamma must partition the same n: {mu}, {nu}, {gamma}")
-    n = sum(mu)
-    # refused before the table is loaded or built, so a refusal costs nothing
-    if args.verify and n > cfg.brute_force_limit:
-        raise BruteForceLimitError(
-            f"--verify at n={n} exceeds the brute-force limit {cfg.brute_force_limit}"
-        )
-    value = structure_constant(mu, nu, gamma, _table(n, cfg))
-    if not args.verify:
-        print(value)
-        return EXIT_OK
-    counted = structure_constant_bruteforce(mu, nu, gamma, limit=cfg.brute_force_limit)
+    # counted first: a refusal past the brute-force limit reads no cache file
+    if args.verify:
+        counted = structure_constant_bruteforce(mu, nu, gamma, limit=args.brute_force_limit)
+    value = structure_constant(mu, nu, gamma, character_table(sum(mu), cache_dir=args.cache_dir))
     print(value)
+    if not args.verify:
+        return EXIT_OK
     print(counted)
     if value != counted:
         _log(f"mismatch: character formula gave {value}, enumeration gave {counted}")
@@ -313,36 +291,27 @@ def _cmd_structure_constant(args: argparse.Namespace, cfg: RunConfig) -> int:
 # --- verify ----------------------------------------------------------------
 
 
-class _Checker:
-    def __init__(self) -> None:
-        self.failures = 0
-
-    def check(self, name: str, fn) -> None:
-        start = time.perf_counter()
-        try:
-            problems = fn() or []
-        except Exception as e:  # a crashed check is a failed check
-            problems = [f"raised {type(e).__name__}: {e}"]
-        elapsed = time.perf_counter() - start
-        if problems:
-            self.failures += 1
-            print(f"FAIL {name} ({elapsed:.2f}s)")
-            for line in problems:
-                print(f"     {line}")
-        else:
-            print(f"PASS {name} ({elapsed:.2f}s)")
-
-    def skip(self, name: str, reason: str) -> None:
-        print(f"SKIP {name} ({reason})")
+def _run_check(name: str, fn) -> bool:
+    """Print PASS or FAIL with the problems found; True when the check passed."""
+    start = time.perf_counter()
+    try:
+        problems = fn()
+    except Exception as e:  # a crashed check is a failed check
+        problems = [f"raised {type(e).__name__}: {e}"]
+    elapsed = time.perf_counter() - start
+    print(f"{'FAIL' if problems else 'PASS'} {name} ({elapsed:.2f}s)")
+    for line in problems:
+        print(f"     {line}")
+    return not problems
 
 
-def _check_theorem(n: int, cfg: RunConfig) -> list[str]:
-    result = verify_main_theorem(n, _table(n, cfg))
+def _check_theorem(n: int, args: argparse.Namespace) -> list[str]:
+    result = verify_main_theorem(n, character_table(n, cache_dir=args.cache_dir))
     return result.diagnostics() if not result.ok else []
 
 
-def _check_orthogonality(n: int, cfg: RunConfig) -> list[str]:
-    table = _table(n, cfg)
+def _check_orthogonality(n: int, args: argparse.Namespace) -> list[str]:
+    table = character_table(n, cache_dir=args.cache_dir)
     order = table.order
     values = table.values
     sizes = [class_size(mu) for mu in order]
@@ -363,7 +332,7 @@ def _check_orthogonality(n: int, cfg: RunConfig) -> list[str]:
     return problems
 
 
-def _check_formulas(n: int, cfg: RunConfig) -> list[str]:
+def _check_formulas(n: int, args: argparse.Namespace) -> list[str]:
     problems = []
     classes = partitions_of(n)
     for shape in NearHookShape:
@@ -390,8 +359,8 @@ def _check_formulas(n: int, cfg: RunConfig) -> list[str]:
     return problems
 
 
-def _check_structure(n: int, cfg: RunConfig) -> list[str]:
-    table = _table(n, cfg)
+def _check_structure(n: int, args: argparse.Namespace) -> list[str]:
+    table = character_table(n, cache_dir=args.cache_dir)
     classes = partitions_of(n)
     if n <= 6:
         triples = [
@@ -402,9 +371,7 @@ def _check_structure(n: int, cfg: RunConfig) -> list[str]:
     problems = []
     for mu, nu, gamma in triples:
         expected = structure_constant(mu, nu, gamma, table)
-        counted = structure_constant_bruteforce(
-            mu, nu, gamma, limit=cfg.brute_force_limit
-        )
+        counted = structure_constant_bruteforce(mu, nu, gamma, limit=args.brute_force_limit)
         if expected != counted:
             problems.append(
                 f"({mu}, {nu}, {gamma}): formula {expected} != enumeration {counted}"
@@ -412,51 +379,51 @@ def _check_structure(n: int, cfg: RunConfig) -> list[str]:
     return problems
 
 
-def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _beyond_table(n: int) -> str | None:
+    return f"beyond table limit {MAX_TABLE_N}" if n > MAX_TABLE_N else None
+
+
+def _skip_structure(n: int, args: argparse.Namespace) -> str | None:
+    if n > args.brute_force_limit:
+        return f"beyond brute-force limit {args.brute_force_limit}"
+    return _beyond_table(n)
+
+
+# (suite, check, skip rule) in output order; the rule gives a SKIP reason or None
+_SUITES = (
+    ("theorem", _check_theorem,
+     lambda n, args: "theorem range is n > 6" if n <= 6 else _beyond_table(n)),
+    ("orthogonality", _check_orthogonality, lambda n, args: _beyond_table(n)),
+    ("formulas", _check_formulas, lambda n, args: None),
+    ("structure", _check_structure, _skip_structure),
+)
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n_min < 3 or args.n_min > args.n_max:
         raise ValueError(f"need 3 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
-    checker = _Checker()
-    ns = range(args.n_min, args.n_max + 1)
-    if args.suite in ("theorem", "all"):
-        for n in ns:
-            if n <= 6:
-                checker.skip(f"theorem n={n}", "theorem range is n > 6")
+    passed = True
+    for suite, check, skip in _SUITES:
+        if args.suite not in (suite, "all"):
+            continue
+        for n in range(args.n_min, args.n_max + 1):
+            reason = skip(n, args)
+            if reason is None:
+                passed &= _run_check(f"{suite} n={n}", lambda: check(n, args))
             else:
-                checker.check(f"theorem n={n}", lambda n=n: _check_theorem(n, cfg))
-    if args.suite in ("orthogonality", "all"):
-        for n in ns:
-            checker.check(f"orthogonality n={n}", lambda n=n: _check_orthogonality(n, cfg))
-    if args.suite in ("formulas", "all"):
-        for n in ns:
-            checker.check(f"formulas n={n}", lambda n=n: _check_formulas(n, cfg))
-    if args.suite in ("structure", "all"):
-        for n in ns:
-            if n > cfg.brute_force_limit:
-                checker.skip(
-                    f"structure n={n}", f"beyond brute-force limit {cfg.brute_force_limit}"
-                )
-            else:
-                checker.check(f"structure n={n}", lambda n=n: _check_structure(n, cfg))
-    return EXIT_VERIFY_FAILED if checker.failures else EXIT_OK
+                print(f"SKIP {suite} n={n} ({reason})")
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
 # --- entry point -----------------------------------------------------------
-
-_DISPATCH = {
-    "chartable": _cmd_chartable,
-    "eval": _cmd_eval,
-    "vanishing-pairs": _cmd_vanishing_pairs,
-    "structure-constant": _cmd_structure_constant,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    args.cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
     try:
-        return _DISPATCH[args.command](args, cfg)
+        return args.run(args)
     except BruteForceLimitError as e:
         _log(f"error: {e}")
         return EXIT_BRUTE_FORCE_LIMIT

@@ -28,6 +28,7 @@ from symchar import (
     sign_value,
 )
 from symchar.characters import (
+    MAX_TABLE_N,
     SCHEMA_VERSION,
     mn_memo_size,
     reset_mn_memo,
@@ -446,3 +447,19 @@ def test_schema_mismatch_recomputes_instead_of_migrating(tmp_path):
 def test_invalid_table_sizes_rejected():
     with pytest.raises(ValueError):
         character_table(0)
+
+
+def test_table_limit_refuses_before_any_cache_read_or_build(tmp_path, monkeypatch):
+    import symchar.characters as characters_module
+
+    def no_build(n, order):
+        raise AssertionError(f"the table of S_{n} was built")
+
+    monkeypatch.setattr(characters_module, "_table_values", no_build)
+    # an unreadable cache file for that n is never opened
+    table_cache_path(tmp_path, MAX_TABLE_N + 1).write_text("{not json", encoding="utf-8")
+    for n in (MAX_TABLE_N + 1, 40):
+        with pytest.raises(ValueError, match="table limit"):
+            character_table(n, cache_dir=tmp_path)
+    with pytest.raises(ValueError, match="table limit"):
+        character_table(MAX_TABLE_N + 1)

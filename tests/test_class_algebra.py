@@ -27,6 +27,10 @@ def test_cycle_type_basics():
     assert cycle_type((1, 2, 0)) == (3,)
     assert cycle_type((1, 0, 3, 2)) == (2, 2)
     assert cycle_type(()) == ()
+    # not permutations: a repeated image, or an image outside range(n)
+    for bad in ((1, 1, 0), (0, 0), (0, 2)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            cycle_type(bad)
 
 
 def test_class_representative_round_trip():

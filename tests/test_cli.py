@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -361,6 +362,12 @@ def test_structure_constant_verify_respects_limit(cache, capsys):
     # without --verify the exact formula still answers at any n
     assert main(argv[:-1]) == EXIT_OK
     assert capsys.readouterr().out.strip().isdigit()
+    # refused before the cache is read: an unreadable file for S_6 is not an I/O failure
+    table_cache_path(cache, 6).write_text("{this is not json", encoding="utf-8")
+    assert main(argv) == EXIT_BRUTE_FORCE_LIMIT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_structure_constant_mismatch_exit_code(cache, capsys, monkeypatch):
@@ -389,6 +396,12 @@ def test_structure_constant_on_an_inconsistent_cached_table_fails_the_check(cach
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
     assert "does not divide" in captured.err
+    # with --verify the count comes first; the table then fails before anything is printed
+    assert main([*argv, "--verify"]) == EXIT_VERIFY_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
     # an undecodable cache file stays an I/O failure, not a failed check
     table_cache_path(cache, 3).write_text("{this is not json", encoding="utf-8")
     assert main(argv) == EXIT_IO_FAILURE
@@ -446,6 +459,63 @@ def test_verify_structure_skips_beyond_limit(cache, capsys):
     out = capsys.readouterr().out
     assert "PASS structure n=5" in out
     assert "SKIP structure n=6" in out
+
+
+def _verify_lines(out: str) -> list[str]:
+    return [re.sub(r" \(\d+\.\d\ds\)$", "", line) for line in out.splitlines()]
+
+
+def test_verify_transcript_is_pinned(cache, capsys):
+    argv = ["--cache-dir", cache, "--brute-force-limit", "7"]
+    code = main([*argv, "verify", "--suite", "all", "--n-min", "5", "--n-max", "8"])
+    assert code == EXIT_OK
+    assert _verify_lines(capsys.readouterr().out) == [
+        "SKIP theorem n=5 (theorem range is n > 6)",
+        "SKIP theorem n=6 (theorem range is n > 6)",
+        "PASS theorem n=7",
+        "PASS theorem n=8",
+        *(f"PASS orthogonality n={n}" for n in range(5, 9)),
+        *(f"PASS formulas n={n}" for n in range(5, 9)),
+        *(f"PASS structure n={n}" for n in range(5, 8)),
+        "SKIP structure n=8 (beyond brute-force limit 7)",
+    ]
+
+
+def test_verify_skips_table_suites_beyond_the_table_limit(cache, capsys, monkeypatch):
+    import symchar.characters as characters_module
+    import symchar.cli as cli_module
+
+    for module in (characters_module, cli_module):
+        monkeypatch.setattr(module, "MAX_TABLE_N", 7)
+    argv = ["--cache-dir", cache, "--brute-force-limit", "9"]
+    code = main([*argv, "verify", "--suite", "all", "--n-min", "7", "--n-max", "8"])
+    assert code == EXIT_OK
+    assert _verify_lines(capsys.readouterr().out) == [
+        "PASS theorem n=7",
+        "SKIP theorem n=8 (beyond table limit 7)",
+        "PASS orthogonality n=7",
+        "SKIP orthogonality n=8 (beyond table limit 7)",
+        "PASS formulas n=7",
+        "PASS formulas n=8",
+        "PASS structure n=7",
+        "SKIP structure n=8 (beyond table limit 7)",
+    ]
+
+
+def test_table_commands_refuse_past_the_table_limit(cache, capsys, monkeypatch):
+    import symchar.characters as characters_module
+
+    def no_build(n, order):
+        raise AssertionError(f"the table of S_{n} was built")
+
+    monkeypatch.setattr(characters_module, "_table_values", no_build)
+    for argv in (["vanishing-pairs", "40"], ["chartable", "40", "--format", "json"]):
+        assert main(["--cache-dir", cache, *argv]) == EXIT_INVALID_INPUT, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "table limit" in captured.err
+    assert not Path(cache).exists()
 
 
 def test_verify_rejects_bad_range(cache, capsys):
