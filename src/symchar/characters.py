@@ -9,6 +9,11 @@ lives only as long as the build.  Rows and columns follow the canonical
 partition order of partitions_of(n); an optional JSON disk cache holds the
 result, and its serialization is byte-for-byte reproducible.
 
+Each table turns its rows into decimal text once (CharTable.row_text): the
+cache encoder and the CLI's table writers all read those lines, and a table
+loaded from a cache file gets them from the decoder, which has already
+checked and hashed every line of the file.
+
 mn_char(lam, mu) is the independent single-value route: the
 Murnaghan-Nakayama rule with a fixed strategy (always peel a border strip
 whose length is the largest remaining part of mu), memoized in a process-wide
@@ -221,6 +226,15 @@ class CharTable:
         return {p: i for i, p in enumerate(self.order)}
 
     @cached_property
+    def row_text(self) -> tuple[str, ...]:
+        """One line per row of values: its decimal strings joined by commas.
+
+        Not a field, so == never compares it and dataclasses.replace never
+        carries it over; table_from_json seeds it with the lines it decoded.
+        """
+        return tuple(",".join(map(str, row)) for row in self.values)
+
+    @cached_property
     def json_text(self) -> str:
         """table_to_json(self), encoded once and shared by the cache write and any output."""
         return table_to_json(self)
@@ -361,18 +375,15 @@ def table_to_json(table: CharTable) -> str:
     """The cache file's text: json.dumps(payload, indent=2) + "\n", built row by row.
 
     payload holds schema_version, n, order, values and sha256, in that order,
-    every integer a decimal string.  Each row is turned into strings once,
-    and those strings feed both the text and the digest.
+    every integer a decimal string.  Each row's comma-joined line (for values,
+    table.row_text) feeds the digest, and its commas become the JSON cell breaks.
     """
     digest = _payload_hash(table.n)
     blocks = []
-    for rows in (table.order, table.values):
-        texts = []
-        for row in rows:
-            cells = list(map(str, row))
-            digest.update((",".join(cells) + "\n").encode("ascii"))
-            texts.append('",\n      "'.join(cells))
-        blocks.append(_json_rows(texts))
+    for lines in ([",".join(map(str, p)) for p in table.order], table.row_text):
+        for line in lines:
+            digest.update((line + "\n").encode("ascii"))
+        blocks.append(_json_rows([line.replace(",", '",\n      "') for line in lines]))
     return (
         f'{{\n  "schema_version": "{SCHEMA_VERSION}",\n  "n": "{table.n}",\n'
         f'  "order": {blocks[0]},\n  "values": {blocks[1]},\n'
@@ -394,13 +405,14 @@ def _decode_int(text: object, what: str) -> int:
 _CANONICAL_LINE = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*")
 
 
-def _decode_row(row: object, what: str, digest) -> tuple[int, ...]:
+def _decode_row(row: object, what: str, digest) -> tuple[tuple[int, ...], str]:
     """Decode a JSON array of canonical decimal strings and feed its line to digest.
 
     The row is joined, parsed and matched in C-level passes.  int() rejects
     a comma, so once every value parses the joined line splits back into the
     values, and the pattern checks each of them.  A row that fails is decoded
-    again value by value, so the error names the first bad value.
+    again value by value, so the error names the first bad value.  Returns
+    the values and the line, which is then ",".join(map(str, values)).
     """
     if type(row) is not list:
         raise TypeError(f"expected a JSON array of {what} strings, got {type(row).__name__}")
@@ -412,7 +424,7 @@ def _decode_row(row: object, what: str, digest) -> tuple[int, ...]:
     if not _CANONICAL_LINE.fullmatch(line):
         ints = tuple(_decode_int(v, what) for v in row)
     digest.update((line + "\n").encode("ascii"))
-    return ints
+    return ints, line
 
 
 def table_from_json(text: str, *, source: str = "<memory>") -> CharTable:
@@ -434,7 +446,7 @@ def table_from_json(text: str, *, source: str = "<memory>") -> CharTable:
             )
         n = _decode_int(payload["n"], "n")
         digest = _payload_hash(n)
-        order = tuple(_decode_row(p, "order entry", digest) for p in payload["order"])
+        order = tuple(_decode_row(p, "order entry", digest)[0] for p in payload["order"])
         # compared lazily: a large n in a damaged file must not enumerate p(n) partitions
         if order != tuple(islice(iter_partitions(n), len(order) + 1)):
             raise CharTableCacheError(f"cache file {source}: order is not canonical for n={n}")
@@ -442,15 +454,21 @@ def table_from_json(text: str, *, source: str = "<memory>") -> CharTable:
         if len(raw) != len(order):
             raise CharTableCacheError(f"cache file {source}: expected {len(order)} rows")
         values = []
+        lines = []
         for row in raw:
             if len(row) != len(order):
                 raise CharTableCacheError(f"cache file {source}: ragged row of length {len(row)}")
-            values.append(_decode_row(row, "value", digest))
+            ints, line = _decode_row(row, "value", digest)
+            values.append(ints)
+            lines.append(line)
         if payload["sha256"] != digest.hexdigest():
             raise CharTableCacheError(
                 f"cache file {source}: sha256 does not match its contents (edited or damaged)"
             )
-        return CharTable(n=n, order=order, values=tuple(values))
+        table = CharTable(n=n, order=order, values=tuple(values))
+        # seeded as cached_property would store it: the lines are checked and hashed
+        vars(table)["row_text"] = tuple(lines)
+        return table
     except (TypeError, ValueError) as e:
         raise CharTableCacheError(f"cache file {source} is malformed: {e}") from None
 

@@ -9,7 +9,9 @@ input (including a table past characters.MAX_TABLE_N), 3 I/O failure, 4
 brute-force verification requested beyond the configured limit.
 
 JSON output renders every integer as a decimal string so arbitrarily large
-character values survive consumers that parse numbers as doubles.
+character values survive consumers that parse numbers as doubles.  The table
+writers (json, csv, pretty) all print the table's row_text, the decimal lines
+made once per table, or handed over by the cache decoder on a warm load.
 """
 
 from __future__ import annotations
@@ -147,18 +149,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _render_table_csv(table: CharTable) -> str:
-    lines = [",".join(["", *map(_dot, table.order)])]
-    lines += [",".join([_dot(lam), *map(str, row)]) for lam, row in zip(table.order, table.values)]
+    labels = list(map(_dot, table.order))
+    lines = [",".join(["", *labels])]
+    lines += [f"{label},{text}" for label, text in zip(labels, table.row_text)]
     return "\n".join(lines) + "\n"
 
 
 def _render_table_pretty(table: CharTable) -> str:
-    lines = [["", *map(_dot, table.order)]]
-    lines += [[_dot(lam), *map(str, row)] for lam, row in zip(table.order, table.values)]
-    widths = [max(map(len, column)) for column in zip(*lines)]
-    # labels left-aligned, values right-aligned, two spaces between columns
-    fmt = "  ".join([f"{{:<{widths[0]}}}", *(f"{{:>{w}}}" for w in widths[1:])])
-    return "".join([fmt.format(*line).rstrip() + "\n" for line in lines])
+    labels = list(map(_dot, table.order))
+    label_width = max(map(len, labels))
+    # a column's longest entry is its label, its max or its min (the most negative)
+    widths = [
+        max(len(label), len(str(max(column))), len(str(min(column))))
+        for label, column in zip(labels, zip(*table.values))
+    ]
+    # labels left-aligned, values right-aligned, two spaces between columns;
+    # the header is one more comma-joined line, as no label holds a comma
+    lines = [
+        "  ".join([label.ljust(label_width), *map(str.rjust, text.split(","), widths)])
+        for label, text in zip(["", *labels], [",".join(labels), *table.row_text])
+    ]
+    return "\n".join(lines) + "\n"
 
 
 _TABLE_RENDERERS = {

@@ -262,3 +262,24 @@ def structure_constant_oracle(
         if perm_cycle_type(x) == tuple(mu):
             count += 1
     return count
+
+
+# --- the pretty table layout by one format string per line --------------------
+
+
+def pretty_table_oracle(
+    labels: tuple[tuple[int, ...], ...], rows: tuple[tuple[int, ...], ...]
+) -> str:
+    """The `chartable` pretty layout, built the straightforward way.
+
+    Every cell is turned into text, each column is as wide as its widest
+    cell (header included), and each line goes through one str.format with a
+    field per column: labels (parts joined by '.') left-aligned, values
+    right-aligned, two spaces between columns, trailing blanks stripped.
+    """
+    dotted = [".".join(map(str, p)) for p in labels]
+    lines = [["", *dotted]]
+    lines += [[label, *map(str, row)] for label, row in zip(dotted, rows)]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    fmt = "  ".join([f"{{:<{widths[0]}}}", *(f"{{:>{w}}}" for w in widths[1:])])
+    return "".join([fmt.format(*line).rstrip() + "\n" for line in lines])

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -284,6 +285,34 @@ def test_json_round_trip_and_determinism(tmp_path):
     save_table(t, path)
     assert load_table(path) == t
     assert path.read_text() == text
+
+
+def _decimal_lines(table: CharTable) -> tuple[str, ...]:
+    return tuple(",".join(map(str, row)) for row in table.values)
+
+
+def test_row_text_is_the_decimal_lines_of_values(tmp_path):
+    for n in range(1, 13):
+        built = character_table(n)
+        assert "row_text" not in vars(built)
+        assert built.row_text == _decimal_lines(built), n
+        path = tmp_path / f"t{n}.json"
+        save_table(built, path)
+        loaded = load_table(path)
+        # the decoder seeds the lines it checked and hashed
+        assert "row_text" in vars(loaded), n
+        assert loaded.row_text == _decimal_lines(loaded), n
+        assert loaded == built
+
+
+def test_replaced_values_get_fresh_row_text(tmp_path):
+    path = tmp_path / "t5.json"
+    save_table(character_table(5), path)
+    for table in (character_table(5), load_table(path)):
+        old = table.row_text
+        negated = replace(table, values=tuple(tuple(-v for v in row) for row in table.values))
+        assert negated.row_text == _decimal_lines(negated) != old
+        assert table_from_json(table_to_json(negated)) == negated
 
 
 def test_character_table_disk_cache_round_trip(tmp_path):

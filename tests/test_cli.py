@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from symchar import character_table, load_table, mn_char, save_table
+from oracles import pretty_table_oracle
+from symchar import CharTable, character_table, load_table, mn_char, save_table
 from symchar.characters import table_cache_path
 from symchar.cli import (
     EXIT_BRUTE_FORCE_LIMIT,
@@ -16,6 +17,7 @@ from symchar.cli import (
     EXIT_IO_FAILURE,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    _render_table_pretty,
     main,
 )
 
@@ -40,11 +42,36 @@ def test_chartable_csv(cache, capsys):
 def test_chartable_pretty(cache, capsys):
     code = main(["--cache-dir", cache, "chartable", "3"])
     assert code == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["3", "2.1", "1.1.1"]
-    assert lines[1].split() == ["3", "1", "1", "1"]
-    assert lines[2].split() == ["2.1", "-1", "0", "2"]
-    assert lines[3].split() == ["1.1.1", "1", "-1", "1"]
+    assert capsys.readouterr().out == (
+        "        3  2.1  1.1.1\n"
+        "3       1    1      1\n"
+        "2.1    -1    0      2\n"
+        "1.1.1   1   -1      1\n"
+    )
+
+
+def test_chartable_pretty_matches_the_format_string_layout(cache, capsys, table_for):
+    # cold: the table just built; warm: the table the cache decoder returned
+    for n in range(1, 13):
+        expected = pretty_table_oracle(table_for(n).order, table_for(n).values)
+        for run in ("cold", "warm"):
+            assert main(["--cache-dir", cache, "chartable", str(n)]) == EXIT_OK
+            assert capsys.readouterr().out == expected, (n, run)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # column (3) is widest at its min, -16, not at its max, 9
+        ((9, 1, 1), (-16, 0, 2), (1, -1, 1)),
+        # column (1,1,1) is narrower than its label in every row
+        ((1, 1, 1), (-1, 0, 2), (12345, -1, 1)),
+    ],
+    ids=["negative-widest", "label-widest"],
+)
+def test_chartable_pretty_column_widths(values):
+    table = CharTable(n=3, order=((3,), (2, 1), (1, 1, 1)), values=values)
+    assert _render_table_pretty(table) == pretty_table_oracle(table.order, table.values)
 
 
 def test_chartable_json(cache, capsys):
@@ -96,6 +123,11 @@ def test_chartable_json_encodes_the_table_once(cache, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out == table_cache_path(cache, 6).read_text(encoding="utf-8")
     assert out == encode(character_table(6))
+    # on a hit the file's bytes come back from the decoded table's row text
+    calls.clear()
+    assert main(["--cache-dir", cache, "chartable", "6", "--format", "json"]) == EXIT_OK
+    assert calls == [6]
+    assert capsys.readouterr().out == out
 
 
 def test_chartable_corrupt_cache_is_loud(cache, capsys):
