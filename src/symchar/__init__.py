@@ -5,110 +5,86 @@ ways (Murnaghan-Nakayama recursion, near-hook closed forms, induced-character
 recursions), multiplies conjugacy classes in the class algebra with an
 enumeration oracle as a cross-check, and classifies the pairs of classes on
 which every non-linear character vanishes.
+
+The names in __all__ are loaded on first use (PEP 562): `import symchar`
+imports no submodule, and `symchar.X` imports only the submodule that
+defines X and returns that submodule's object.  So a `symchar` command pays
+at start-up only for the modules it uses.
 """
 
-from .characters import (
-    CharTable,
-    CharTableCacheError,
-    RimHookRemoval,
-    border_strip_removals,
-    character_table,
-    degree,
-    hook_length,
-    load_table,
-    mn_char,
-    save_table,
-)
-from .class_algebra import (
-    BruteForceLimitError,
-    class_representative,
-    conjugacy_class,
-    cycle_type,
-    deterministic_triples,
-    merge_lemma_check,
-    predicted_coefficient,
-    structure_constant,
-    structure_constant_bruteforce,
-)
-from .formulas import (
-    NearHookShape,
-    hook_char_recursive,
-    induced_value,
-    near_hook_value,
-    shape_partition,
-    two_row_char_recursive,
-)
-from .partitions import (
-    DominanceResult,
-    Partition,
-    centralizer_order,
-    class_size,
-    conjugate,
-    dominance_compare,
-    format_partition,
-    is_hook,
-    merge_parts,
-    multiplicities,
-    parse_partition,
-    partitions_of,
-    sign_value,
-)
-from .vanishing import (
-    CoveringPairReport,
-    TheoremCheck,
-    covers_all_nonlinear,
-    find_covering_pairs,
-    k_of_sn,
-    vanishing_set,
-    verify_main_theorem,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BruteForceLimitError",
-    "CharTable",
-    "CharTableCacheError",
-    "CoveringPairReport",
-    "DominanceResult",
-    "NearHookShape",
-    "Partition",
-    "RimHookRemoval",
-    "TheoremCheck",
-    "border_strip_removals",
-    "centralizer_order",
-    "character_table",
-    "class_representative",
-    "class_size",
-    "conjugacy_class",
-    "conjugate",
-    "covers_all_nonlinear",
-    "cycle_type",
-    "degree",
-    "deterministic_triples",
-    "dominance_compare",
-    "find_covering_pairs",
-    "format_partition",
-    "hook_char_recursive",
-    "hook_length",
-    "induced_value",
-    "is_hook",
-    "k_of_sn",
-    "load_table",
-    "merge_lemma_check",
-    "merge_parts",
-    "mn_char",
-    "multiplicities",
-    "near_hook_value",
-    "parse_partition",
-    "partitions_of",
-    "predicted_coefficient",
-    "save_table",
-    "shape_partition",
-    "sign_value",
-    "structure_constant",
-    "structure_constant_bruteforce",
-    "two_row_char_recursive",
-    "vanishing_set",
-    "verify_main_theorem",
-]
+# submodule -> the names the package re-exports from it
+_EXPORTS = {
+    "characters": (
+        "CharTable",
+        "CharTableCacheError",
+        "RimHookRemoval",
+        "border_strip_removals",
+        "character_table",
+        "degree",
+        "hook_length",
+        "load_table",
+        "mn_char",
+        "save_table",
+    ),
+    "class_algebra": (
+        "BruteForceLimitError",
+        "class_representative",
+        "conjugacy_class",
+        "cycle_type",
+        "deterministic_triples",
+        "merge_lemma_check",
+        "predicted_coefficient",
+        "structure_constant",
+        "structure_constant_bruteforce",
+    ),
+    "formulas": (
+        "NearHookShape",
+        "hook_char_recursive",
+        "induced_value",
+        "near_hook_value",
+        "shape_partition",
+        "two_row_char_recursive",
+    ),
+    "partitions": (
+        "DominanceResult",
+        "Partition",
+        "centralizer_order",
+        "class_size",
+        "conjugate",
+        "dominance_compare",
+        "format_partition",
+        "is_hook",
+        "merge_parts",
+        "multiplicities",
+        "parse_partition",
+        "partitions_of",
+        "sign_value",
+    ),
+    "vanishing": (
+        "CoveringPairReport",
+        "TheoremCheck",
+        "covers_all_nonlinear",
+        "find_covering_pairs",
+        "k_of_sn",
+        "vanishing_set",
+        "verify_main_theorem",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -22,7 +22,15 @@ import random
 from functools import lru_cache
 
 from .characters import CharTable
-from .partitions import Partition, as_partition, class_size, merge_parts, partitions_of, sign_value
+from .partitions import (
+    BRUTE_FORCE_DEFAULT_LIMIT,
+    Partition,
+    as_partition,
+    class_size,
+    merge_parts,
+    partitions_of,
+    sign_value,
+)
 from .vanishing import covers_all_nonlinear
 
 __all__ = [
@@ -41,8 +49,6 @@ __all__ = [
 ]
 
 Perm = tuple[int, ...]
-
-BRUTE_FORCE_DEFAULT_LIMIT = 9
 
 
 class BruteForceLimitError(ValueError):

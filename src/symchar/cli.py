@@ -8,52 +8,32 @@ Exit codes: 0 success, 1 verification mismatch or failed checks, 2 invalid
 input (including a table past characters.MAX_TABLE_N), 3 I/O failure, 4
 brute-force verification requested beyond the configured limit.
 
+An exception that no documented case covers (KeyError, TypeError,
+IndexError, MemoryError) is a fault in symchar: exit 1 with one error line.
+
 JSON output renders every integer as a decimal string so arbitrarily large
 character values survive consumers that parse numbers as doubles.  The table
 writers (json, csv, pretty) all print the table's row_text, the decimal lines
 made once per table, or handed over by the cache decoder on a warm load.
+
+Each process is one request, and every module it imports is compiled anew
+when no bytecode cache is written, so library names are imported inside the
+command or check that uses them: `--help` loads only partitions (for the
+brute-force default), `eval --method formula` only partitions and formulas.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import time
+from typing import TYPE_CHECKING
 
-from .characters import (
-    MAX_TABLE_N,
-    CharTable,
-    CharTableCacheError,
-    character_table,
-    mn_char,
-    write_text_atomic,
-)
-from .class_algebra import (
-    BRUTE_FORCE_DEFAULT_LIMIT,
-    BruteForceLimitError,
-    deterministic_triples,
-    structure_constant,
-    structure_constant_bruteforce,
-)
-from .formulas import (
-    NearHookShape,
-    hook_char_recursive,
-    near_hook_value,
-    shape_partition,
-    two_row_char_recursive,
-)
-from .partitions import (
-    Partition,
-    centralizer_order,
-    class_size,
-    format_partition,
-    is_hook,
-    parse_partition,
-    partitions_of,
-)
-from .vanishing import CoveringPairReport, find_covering_pairs, verify_main_theorem
+if TYPE_CHECKING:
+    from .characters import CharTable
+    from .formulas import NearHookShape
+    from .partitions import Partition
+    from .vanishing import CoveringPairReport
 
 __all__ = ["main", "run"]
 
@@ -81,12 +61,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _dot(p: Partition) -> str:
-    """Comma-free partition rendering for tabular headers: (6, 1) -> '6.1'."""
-    return format_partition(p, sep=".")
+def _dots(partitions: tuple[Partition, ...]) -> list[str]:
+    """Comma-free partition renderings for tabular headers: (6, 1) -> '6.1'."""
+    from .partitions import format_partition
+
+    return [format_partition(p, sep=".") for p in partitions]
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .partitions import BRUTE_FORCE_DEFAULT_LIMIT
+
     parser = argparse.ArgumentParser(
         prog="symchar",
         description="Exact symmetric-group character computations.",
@@ -149,14 +133,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _render_table_csv(table: CharTable) -> str:
-    labels = list(map(_dot, table.order))
+    labels = _dots(table.order)
     lines = [",".join(["", *labels])]
     lines += [f"{label},{text}" for label, text in zip(labels, table.row_text)]
     return "\n".join(lines) + "\n"
 
 
 def _render_table_pretty(table: CharTable) -> str:
-    labels = list(map(_dot, table.order))
+    labels = _dots(table.order)
     label_width = max(map(len, labels))
     # a column's longest entry is its label, its max or its min (the most negative)
     widths = [
@@ -180,6 +164,8 @@ _TABLE_RENDERERS = {
 
 
 def _cmd_chartable(args: argparse.Namespace) -> int:
+    from .characters import character_table, write_text_atomic
+
     table = character_table(args.n, cache_dir=args.cache_dir)
     payload = _TABLE_RENDERERS[args.format](table)
     if args.out is not None:
@@ -193,6 +179,8 @@ def _cmd_chartable(args: argparse.Namespace) -> int:
 
 
 def _shape_for(lam: Partition, n: int) -> NearHookShape | None:
+    from .formulas import NearHookShape, shape_partition
+
     for shape in NearHookShape:
         try:
             if shape_partition(shape, n) == lam:
@@ -203,19 +191,28 @@ def _shape_for(lam: Partition, n: int) -> NearHookShape | None:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .partitions import is_hook, parse_partition
+
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"lambda and mu must partition the same n: {lam} vs {mu}")
     n = sum(lam)
+    # each method imports only its own route
     if args.method == "mn":
+        from .characters import mn_char
+
         value = mn_char(lam, mu)
     elif args.method == "formula":
+        from .formulas import near_hook_value
+
         shape = _shape_for(lam, n)
         if shape is None:
             raise ValueError(f"no closed-form shape matches {lam} at n={n}")
         value = near_hook_value(shape, mu)
     else:
+        from .formulas import hook_char_recursive, two_row_char_recursive
+
         if is_hook(lam):
             value = hook_char_recursive(len(lam) - 1, mu)
         elif len(lam) == 2:
@@ -230,6 +227,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _pairs_json(report: CoveringPairReport) -> str:
+    import json
+
     payload = {
         "n": str(report.n),
         "k_value": None if report.k_value is None else str(report.k_value),
@@ -246,11 +245,13 @@ def _pairs_json(report: CoveringPairReport) -> str:
 def _pairs_csv(report: CoveringPairReport) -> str:
     lines = ["mu,nu"]
     for mu, nu in report.pairs:
-        lines.append(f"{_dot(mu)},{_dot(nu)}")
+        lines.append(",".join(_dots((mu, nu))))
     return "\n".join(lines) + "\n"
 
 
 def _pairs_pretty(report: CoveringPairReport) -> str:
+    from .partitions import format_partition
+
     lines = [
         f"n: {report.n}",
         f"k_value: {'none' if report.k_value is None else report.k_value}",
@@ -271,6 +272,9 @@ _PAIRS_RENDERERS = {"json": _pairs_json, "csv": _pairs_csv, "pretty": _pairs_pre
 
 
 def _cmd_vanishing_pairs(args: argparse.Namespace) -> int:
+    from .characters import character_table
+    from .vanishing import find_covering_pairs
+
     report = find_covering_pairs(args.n, character_table(args.n, cache_dir=args.cache_dir))
     sys.stdout.write(_PAIRS_RENDERERS[args.format](report))
     return EXIT_OK
@@ -280,6 +284,10 @@ def _cmd_vanishing_pairs(args: argparse.Namespace) -> int:
 
 
 def _cmd_structure_constant(args: argparse.Namespace) -> int:
+    from .characters import character_table
+    from .class_algebra import structure_constant, structure_constant_bruteforce
+    from .partitions import parse_partition
+
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
     gamma = parse_partition(args.gamma)
@@ -304,6 +312,8 @@ def _cmd_structure_constant(args: argparse.Namespace) -> int:
 
 def _run_check(name: str, fn) -> bool:
     """Print PASS or FAIL with the problems found; True when the check passed."""
+    import time
+
     start = time.perf_counter()
     try:
         problems = fn()
@@ -317,11 +327,17 @@ def _run_check(name: str, fn) -> bool:
 
 
 def _check_theorem(n: int, args: argparse.Namespace) -> list[str]:
+    from .characters import character_table
+    from .vanishing import verify_main_theorem
+
     result = verify_main_theorem(n, character_table(n, cache_dir=args.cache_dir))
     return result.diagnostics() if not result.ok else []
 
 
 def _check_orthogonality(n: int, args: argparse.Namespace) -> list[str]:
+    from .characters import character_table
+    from .partitions import centralizer_order, class_size
+
     table = character_table(n, cache_dir=args.cache_dir)
     order = table.order
     values = table.values
@@ -344,6 +360,16 @@ def _check_orthogonality(n: int, args: argparse.Namespace) -> list[str]:
 
 
 def _check_formulas(n: int, args: argparse.Namespace) -> list[str]:
+    from .characters import mn_char
+    from .formulas import (
+        NearHookShape,
+        hook_char_recursive,
+        near_hook_value,
+        shape_partition,
+        two_row_char_recursive,
+    )
+    from .partitions import partitions_of
+
     problems = []
     classes = partitions_of(n)
     for shape in NearHookShape:
@@ -371,6 +397,14 @@ def _check_formulas(n: int, args: argparse.Namespace) -> list[str]:
 
 
 def _check_structure(n: int, args: argparse.Namespace) -> list[str]:
+    from .characters import character_table
+    from .class_algebra import (
+        deterministic_triples,
+        structure_constant,
+        structure_constant_bruteforce,
+    )
+    from .partitions import partitions_of
+
     table = character_table(n, cache_dir=args.cache_dir)
     classes = partitions_of(n)
     if n <= 6:
@@ -391,6 +425,8 @@ def _check_structure(n: int, args: argparse.Namespace) -> list[str]:
 
 
 def _beyond_table(n: int) -> str | None:
+    from .characters import MAX_TABLE_N
+
     return f"beyond table limit {MAX_TABLE_N}" if n > MAX_TABLE_N else None
 
 
@@ -429,26 +465,39 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # --- entry point -----------------------------------------------------------
 
 
+def _exit_code(error: Exception) -> int:
+    """The exit code of an OSError, RuntimeError or ValueError from a command."""
+    # an error class can be raised only once its module has loaded, so the
+    # classes are looked up among the loaded modules: the error path imports
+    # nothing the command did not
+    characters = sys.modules.get(f"{__package__}.characters")
+    class_algebra = sys.modules.get(f"{__package__}.class_algebra")
+    if class_algebra and isinstance(error, class_algebra.BruteForceLimitError):
+        return EXIT_BRUTE_FORCE_LIMIT
+    if isinstance(error, OSError) or (
+        characters and isinstance(error, characters.CharTableCacheError)
+    ):
+        return EXIT_IO_FAILURE
+    if isinstance(error, ValueError):
+        return EXIT_INVALID_INPUT
+    # any other RuntimeError: a table that loaded but fails a consistency
+    # check (structure_constant)
+    return EXIT_VERIFY_FAILED
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     args.cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
     try:
         return args.run(args)
-    except BruteForceLimitError as e:
+    except (OSError, RuntimeError, ValueError) as e:
         _log(f"error: {e}")
-        return EXIT_BRUTE_FORCE_LIMIT
-    except (CharTableCacheError, OSError) as e:
-        _log(f"error: {e}")
-        return EXIT_IO_FAILURE
-    except RuntimeError as e:
-        # after CharTableCacheError, a RuntimeError subclass: here a table
-        # that loaded but fails a consistency check (structure_constant)
-        _log(f"error: {e}")
+        return _exit_code(e)
+    except (KeyError, TypeError, IndexError, MemoryError) as e:
+        # a fault in symchar, not in the request: one line, never a success
+        _log(f"error: unexpected {e!r}")
         return EXIT_VERIFY_FAILED
-    except ValueError as e:
-        _log(f"error: {e}")
-        return EXIT_INVALID_INPUT
 
 
 def run() -> None:

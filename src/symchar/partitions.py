@@ -46,6 +46,11 @@ Partition = tuple[int, ...]
 # huge tuple.
 MAX_PARTITION_SIZE = 2000
 
+# Largest n for which class_algebra enumerates conjugacy classes by brute
+# force unless told otherwise.  It lives here, beside the other size budget,
+# so that the CLI can show it in --help without loading the class algebra.
+BRUTE_FORCE_DEFAULT_LIMIT = 9
+
 
 class DominanceResult(Enum):
     """Outcome of comparing two partitions of the same n in dominance order."""

@@ -227,17 +227,24 @@ def test_removed_options_are_usage_errors(cache):
         assert exc.value.code == 2
 
 
-def _run_module(module, cache, cwd):
+def _run_python(args, cwd):
+    """A fresh interpreter that imports symchar from this checkout's src/."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {k: v for k, v in os.environ.items() if k != "SYMCHAR_CACHE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", module, "--cache-dir", cache, "chartable", "3", "--format", "csv"],
+        [sys.executable, *args],
         cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
+    )
+
+
+def _run_module(module, cache, cwd):
+    return _run_python(
+        ["-m", module, "--cache-dir", cache, "chartable", "3", "--format", "csv"], cwd
     )
 
 
@@ -251,6 +258,83 @@ def test_package_entry_point_runs_the_command(cache, tmp_path):
     done = _run_module("symchar", cache, tmp_path)
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout == ",3,2.1,1.1.1\n3,1,1,1\n2.1,-1,0,2\n1.1.1,1,-1,1\n"
+
+
+# --- start-up: each request imports only the modules its command uses ------
+
+# Runs main(argv) in the interpreter, then prints, as its last line, the
+# exit code, the loaded symchar.* modules and whether hashlib is loaded.
+_FOOTPRINT = """
+import json, sys
+from symchar.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as e:  # --help
+    code = e.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("symchar.")), "hashlib" in sys.modules]))
+"""
+
+_FORMULAS = ["symchar.cli", "symchar.formulas", "symchar.partitions"]
+_TABLE = ["symchar.characters", "symchar.cli", "symchar.partitions"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["--help"], ["symchar.cli", "symchar.partitions"]),
+        (["eval", "--lambda", "6,1", "--mu", "4,3", "--method", "formula"], _FORMULAS),
+        (["eval", "--lambda", "6,1", "--mu", "4,3", "--method", "recursion"], _FORMULAS),
+        (["eval", "--lambda", "6,1", "--mu", "4,3", "--method", "mn"], _TABLE),
+        (["chartable", "3"], _TABLE),
+        (["vanishing-pairs", "7"], [*_TABLE, "symchar.vanishing"]),
+        (
+            ["structure-constant", "--mu", "3", "--nu", "2,1", "--gamma", "2,1", "--verify"],
+            ["symchar.characters", "symchar.class_algebra", "symchar.cli", "symchar.partitions",
+             "symchar.vanishing"],
+        ),
+        (
+            ["verify", "--n-min", "3", "--n-max", "3"],
+            ["symchar.characters", "symchar.class_algebra", "symchar.cli", "symchar.formulas",
+             "symchar.partitions", "symchar.vanishing"],
+        ),
+    ],
+    ids=[
+        "help", "eval-formula", "eval-recursion", "eval-mn", "chartable", "vanishing-pairs",
+        "structure-constant", "verify",
+    ],
+)
+def test_request_imports_only_its_modules(cache, tmp_path, argv, modules):
+    done = _run_python(["-c", _FOOTPRINT, "--cache-dir", cache, *argv], tmp_path)
+    code, loaded, hashlib_loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == EXIT_OK, done.stderr
+    assert loaded == modules
+    if argv[0] in ("--help", "eval"):
+        assert not hashlib_loaded
+
+
+def test_import_symchar_loads_no_submodule(tmp_path):
+    script = 'import sys, symchar; print([m for m in sys.modules if m.startswith("symchar.")])'
+    done = _run_python(["-c", script], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_package_exports_are_the_submodule_objects():
+    import importlib
+
+    import symchar
+
+    modules = [
+        importlib.import_module(f"symchar.{name}")
+        for name in ("characters", "class_algebra", "formulas", "partitions", "vanishing")
+    ]
+    namespace = {}
+    exec("from symchar import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(symchar.__all__)
+    for name in symchar.__all__:
+        owners = [vars(module)[name] for module in modules if name in vars(module)]
+        assert owners and all(obj is namespace[name] for obj in owners), name
+    assert not hasattr(symchar, "no_such_name")
 
 
 def test_chartable_rejects_nonpositive_n():
@@ -403,9 +487,10 @@ def test_structure_constant_verify_respects_limit(cache, capsys):
 
 
 def test_structure_constant_mismatch_exit_code(cache, capsys, monkeypatch):
-    import symchar.cli as cli_module
+    # the CLI imports the function from class_algebra when the command runs
+    import symchar.class_algebra as class_algebra_module
 
-    monkeypatch.setattr(cli_module, "structure_constant_bruteforce", lambda *a, **k: 10**9)
+    monkeypatch.setattr(class_algebra_module, "structure_constant_bruteforce", lambda *a, **k: 10**9)
     code = main(
         ["--cache-dir", cache, "structure-constant", "--mu", "3", "--nu", "2,1", "--gamma", "2,1", "--verify"]
     )
@@ -514,11 +599,10 @@ def test_verify_transcript_is_pinned(cache, capsys):
 
 
 def test_verify_skips_table_suites_beyond_the_table_limit(cache, capsys, monkeypatch):
+    # the CLI reads the limit from characters when it runs
     import symchar.characters as characters_module
-    import symchar.cli as cli_module
 
-    for module in (characters_module, cli_module):
-        monkeypatch.setattr(module, "MAX_TABLE_N", 7)
+    monkeypatch.setattr(characters_module, "MAX_TABLE_N", 7)
     argv = ["--cache-dir", cache, "--brute-force-limit", "9"]
     code = main([*argv, "verify", "--suite", "all", "--n-min", "7", "--n-max", "8"])
     assert code == EXIT_OK
@@ -555,3 +639,33 @@ def test_verify_rejects_bad_range(cache, capsys):
     capsys.readouterr()
     assert main(["--cache-dir", cache, "verify", "--n-min", "2", "--n-max", "5"]) == EXIT_INVALID_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, module, function, argv",
+    [
+        (KeyError("k"), "characters", "mn_char", ["eval", "--lambda", "2,1", "--mu", "3"]),
+        (TypeError("t"), "characters", "character_table", ["chartable", "3"]),
+        (IndexError("i"), "vanishing", "find_covering_pairs", ["vanishing-pairs", "7"]),
+        (
+            MemoryError(),
+            "class_algebra",
+            "structure_constant",
+            ["structure-constant", "--mu", "3", "--nu", "2,1", "--gamma", "2,1"],
+        ),
+    ],
+    ids=["KeyError", "TypeError", "IndexError", "MemoryError"],
+)
+def test_unexpected_exception_is_one_error_line(cache, capsys, monkeypatch, error, module, function, argv):
+    import importlib
+
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(importlib.import_module(f"symchar.{module}"), function, broken)
+    assert main(["--cache-dir", cache, *argv]) == EXIT_VERIFY_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
