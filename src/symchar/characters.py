@@ -2,12 +2,16 @@
 
 character_table(n) builds the full p(n) x p(n) table a column at a time.
 Column mu is the Schur expansion of the power sum p_mu, obtained from the
-empty shape by adding border strips of mu's parts in ascending order; shapes
-are int bitmask beta-sets, and the trie of ascending prefixes is walked
-depth first, so every shared prefix is expanded once and the working memo
-lives only as long as the build.  Rows and columns follow the canonical
-partition order of partitions_of(n); an optional JSON disk cache holds the
-result, and its serialization is byte-for-byte reproducible.
+empty shape by adding border strips of mu's parts in ascending order.  An
+expansion at level m is a dense tuple over the partitions of m in canonical
+order, and adding a k-strip pulls it through the strip matrix of (m, k):
+for each shape of m + k, the indices and signs of the shapes a k-strip
+removal leaves, found with int bitmask beta-sets, built once per build and
+applied in C-level passes.  The trie of ascending prefixes is walked depth
+first, so every shared prefix is expanded once, and the matrices live only
+as long as the walk.  Rows and columns follow the canonical partition order
+of partitions_of(n); an optional JSON disk cache holds the result, and its
+serialization is byte-for-byte reproducible.
 
 Each table turns its rows into decimal text once (CharTable.row_text): the
 cache encoder and the CLI's table writers all read those lines, and a table
@@ -28,8 +32,10 @@ import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
+from operator import mul, sub
 from pathlib import Path
+from typing import Iterator
 
 from .partitions import Partition, iter_partitions, partitions_of, sign_value
 
@@ -58,10 +64,11 @@ __all__ = [
 SCHEMA_VERSION = 2
 
 # Largest n that character_table builds or loads.  The table holds p(n)^2
-# Python ints: a cold `symchar vanishing-pairs 26` takes 16 s and 359 MiB of
-# peak RSS, and 28 takes 40 s and 820 MiB, while at n = 40 (p = 37,338) the
-# row slots alone would take over 10 GiB.  Checked before any cache read or
-# build, so a refusal costs nothing.
+# Python ints, so memory grows like p(n)^2 however fast the build is: a cold
+# `symchar vanishing-pairs 26` takes 6.9 s and 332 MiB of peak RSS, and 28
+# takes 17 s and 759 MiB (2-vCPU Xeon, Python 3.11.7), while at n = 40
+# (p = 37,338) the row slots alone would take over 10 GiB.  Checked before
+# any cache read or build, so a refusal costs nothing.
 MAX_TABLE_N = 28
 
 
@@ -253,60 +260,87 @@ class CharTable:
         return self.values[self.index(lam)][-1]
 
 
-def _beta_mask(lam: Partition, n: int) -> int:
-    # lam's beta-set with n beads, bead i at lam[i] + n - 1 - i, as a bitmask.
-    mask = 0
-    for i in range(n):
-        mask |= 1 << ((lam[i] if i < len(lam) else 0) + n - 1 - i)
-    return mask
+def _level(m: int, n: int) -> dict[int, int]:
+    """The partitions of m in canonical order, as {n-bead beta mask: index}.
 
-
-def _add_strips(coeffs: dict[int, int], k: int) -> dict[int, int]:
-    """Multiply a Schur expansion {beta mask: coefficient} by the power sum p_k.
-
-    Adding a border strip of length k moves a bead b to the free position
-    b + k.  The strip's height is one more than the number of beads strictly
-    between b and b + k, so that count's parity is the sign.
+    A partition lam of m <= n has its bead i at lam[i] + n - 1 - i; the beads
+    past its last part fill the low n - len(lam) positions.
     """
-    out: dict[int, int] = {}
-    get = out.get
+    return {
+        sum(1 << (part + n - 1 - i) for i, part in enumerate(lam)) | ((1 << (n - len(lam))) - 1): j
+        for j, lam in enumerate(iter_partitions(m))
+    }
+
+
+def _strip_matrix(
+    source: dict[int, int], target: dict[int, int], k: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The step that adds a border strip of length k, from one level to the next.
+
+    For each shape of target in order, the source index of every shape left
+    by removing a k-strip from it, and that removal's sign, as flat lists
+    (src, signs) with row r's entries at bounds[r]:bounds[r + 1].  Removing
+    a strip moves a bead b to the free position b - k; the strip's height is
+    one more than the number of beads strictly between them, so that count's
+    parity is the sign.
+    """
+    src: list[int] = []
+    signs: list[int] = []
+    bounds = [0]
     between = (1 << (k - 1)) - 1
-    for mask, c in coeffs.items():
-        movable = mask & ~(mask >> k)  # beads b with b + k free
-        while movable:
-            bit = movable & -movable
-            movable ^= bit
-            moved = mask ^ bit ^ (bit << k)
-            if ((mask >> bit.bit_length()) & between).bit_count() & 1:
-                out[moved] = get(moved, 0) - c
-            else:
-                out[moved] = get(moved, 0) + c
-    return out
+    for mask in target:
+        removable = mask & ~(mask << k) & -(1 << k)  # beads b >= k with b - k free
+        while removable:
+            bit = removable & -removable
+            removable ^= bit
+            src.append(source[mask ^ bit ^ (bit >> k)])
+            signs.append(-1 if ((mask >> (bit.bit_length() - k)) & between).bit_count() & 1 else 1)
+        bounds.append(len(src))
+    return src, signs, bounds
+
+
+def _columns(n: int, order: tuple[Partition, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every column of the table of S_n as (index in order, values in row order).
+
+    Column mu holds the Schur coefficients of p_mu: the expansion at level m
+    of an ascending prefix of mu's parts, times p_k, is the level m + k
+    vector pulled through the strip matrix of (m, k) in a few C-level
+    passes.  The walk over ascending prefixes is depth first, so a shared
+    prefix is expanded once and only the vectors of the current path and of
+    its pending siblings are alive.  Each matrix is built on first use and
+    is dropped with the walk, when the last column has been yielded.
+    """
+    col_of = {mu: j for j, mu in enumerate(order)}
+    levels = [_level(m, n) for m in range(n + 1)]
+    matrices: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
+
+    def add_strips(vec: tuple[int, ...], m: int, k: int) -> tuple[int, ...]:
+        matrix = matrices.get((m, k))
+        if matrix is None:
+            matrix = matrices[m, k] = _strip_matrix(levels[m], levels[m + k], k)
+        src, signs, bounds = matrix
+        sums = list(accumulate(map(mul, signs, map(vec.__getitem__, src)), initial=0))
+        ends = list(map(sums.__getitem__, bounds))
+        return tuple(map(sub, islice(ends, 1, None), ends))
+
+    # (expansion at level m, m, the parts added so far in descending order)
+    stack: list[tuple[tuple[int, ...], int, Partition]] = [((1,), 0, ())]
+    while stack:
+        vec, m, parts = stack.pop()
+        rest = n - m
+        # the parts still to add are all >= parts[0]: the next one is either
+        # all the rest, which ends a column, or fits twice
+        for k in range(parts[0] if parts else 1, rest // 2 + 1):
+            stack.append((add_strips(vec, m, k), m + k, (k, *parts)))
+        yield col_of[(rest, *parts)], add_strips(vec, m, rest)
 
 
 def _table_values(n: int, order: tuple[Partition, ...]) -> tuple[tuple[int, ...], ...]:
-    # Column mu holds the Schur coefficients of p_mu.  The depth-first walk
-    # over ascending prefixes of the classes keeps one expansion per level of
-    # the current path alive; a leaf's expansion is its column.
-    row_of = {_beta_mask(lam, n): i for i, lam in enumerate(order)}
-    col_of = {mu: j for j, mu in enumerate(order)}
-    rows = [[0] * len(order) for _ in order]
-    prefix: list[int] = []  # parts added so far, ascending
-
-    def walk(coeffs: dict[int, int], last: int, rest: int) -> None:
-        if rest == 0:
-            j = col_of[tuple(reversed(prefix))]
-            for mask, value in coeffs.items():
-                rows[row_of[mask]][j] = value
-            return
-        # the parts still to add are all >= k, so k must be rest or fit twice
-        for k in [*range(last, rest // 2 + 1), rest]:
-            prefix.append(k)
-            walk(_add_strips(coeffs, k), k, rest - k)
-            prefix.pop()
-
-    walk({(1 << n) - 1: 1}, 1, n)
-    return tuple(map(tuple, rows))
+    # the walk, and with it every strip matrix, is gone before the transpose
+    columns: list[tuple[int, ...]] = [()] * len(order)
+    for j, column in _columns(n, order):
+        columns[j] = column
+    return tuple(zip(*columns))
 
 
 def character_table(n: int, *, cache_dir: str | Path | None = None) -> CharTable:

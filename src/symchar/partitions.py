@@ -40,10 +40,10 @@ __all__ = [
 Partition = tuple[int, ...]
 
 # Largest n that parse_partition accepts.  The partitions the package can do
-# anything with are far smaller (a full table stops near n = 26; `symchar
-# eval --lambda 2,1^1998 --mu 1^2000` takes seconds), and the budget is
-# checked before a "1^k" is expanded, so no text can make the parser build a
-# huge tuple.
+# anything with are far smaller (a full table stops at
+# characters.MAX_TABLE_N = 28; `symchar eval --lambda 2,1^1998 --mu 1^2000`
+# takes seconds), and the budget is checked before a "1^k" is expanded, so
+# no text can make the parser build a huge tuple.
 MAX_PARTITION_SIZE = 2000
 
 # Largest n for which class_algebra enumerates conjugacy classes by brute

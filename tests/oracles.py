@@ -283,3 +283,69 @@ def pretty_table_oracle(
     widths = [max(map(len, column)) for column in zip(*lines)]
     fmt = "  ".join([f"{{:<{widths[0]}}}", *(f"{{:>{w}}}" for w in widths[1:])])
     return "".join([fmt.format(*line).rstrip() + "\n" for line in lines])
+
+
+# --- table columns by pushing border strips over beta masks -------------------
+#
+# The column build the package used before its strip matrices, kept verbatim:
+# each term of a {beta mask: coefficient} expansion is pushed one strip at a
+# time, and every column is scattered into rows through a mask -> row map.
+
+
+def _beta_mask(lam: tuple[int, ...], n: int) -> int:
+    # lam's beta-set with n beads, bead i at lam[i] + n - 1 - i, as a bitmask.
+    mask = 0
+    for i in range(n):
+        mask |= 1 << ((lam[i] if i < len(lam) else 0) + n - 1 - i)
+    return mask
+
+
+def _add_strips(coeffs: dict[int, int], k: int) -> dict[int, int]:
+    """Multiply a Schur expansion {beta mask: coefficient} by the power sum p_k.
+
+    Adding a border strip of length k moves a bead b to the free position
+    b + k.  The strip's height is one more than the number of beads strictly
+    between b and b + k, so that count's parity is the sign.
+    """
+    out: dict[int, int] = {}
+    get = out.get
+    between = (1 << (k - 1)) - 1
+    for mask, c in coeffs.items():
+        movable = mask & ~(mask >> k)  # beads b with b + k free
+        while movable:
+            bit = movable & -movable
+            movable ^= bit
+            moved = mask ^ bit ^ (bit << k)
+            if ((mask >> bit.bit_length()) & between).bit_count() & 1:
+                out[moved] = get(moved, 0) - c
+            else:
+                out[moved] = get(moved, 0) + c
+    return out
+
+
+def column_push_oracle(
+    n: int, order: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of the character table of S_n, rows and columns in `order`."""
+    # Column mu holds the Schur coefficients of p_mu.  The depth-first walk
+    # over ascending prefixes of the classes keeps one expansion per level of
+    # the current path alive; a leaf's expansion is its column.
+    row_of = {_beta_mask(lam, n): i for i, lam in enumerate(order)}
+    col_of = {mu: j for j, mu in enumerate(order)}
+    rows = [[0] * len(order) for _ in order]
+    prefix: list[int] = []  # parts added so far, ascending
+
+    def walk(coeffs: dict[int, int], last: int, rest: int) -> None:
+        if rest == 0:
+            j = col_of[tuple(reversed(prefix))]
+            for mask, value in coeffs.items():
+                rows[row_of[mask]][j] = value
+            return
+        # the parts still to add are all >= k, so k must be rest or fit twice
+        for k in [*range(last, rest // 2 + 1), rest]:
+            prefix.append(k)
+            walk(_add_strips(coeffs, k), k, rest - k)
+            prefix.pop()
+
+    walk({(1 << n) - 1: 1}, 1, n)
+    return tuple(map(tuple, rows))

@@ -45,10 +45,10 @@ def criterion(name):
     print(f"PASS {name} ({elapsed:.2f}s)", file=sys.stdout, flush=True)
 
 
-def test_01_unique_covering_pair_for_n_7_to_20(table_for):
-    with criterion("covering pairs for n=7..20 are exactly ((n),(n-1,1))"):
+def test_01_unique_covering_pair_for_n_7_to_22(table_for):
+    with criterion("covering pairs for n=7..22 are exactly ((n),(n-1,1))"):
         start = time.perf_counter()
-        for n in range(7, 21):
+        for n in range(7, 23):
             report = find_covering_pairs(n, table_for(n))
             assert report.pairs == (((n,), (n - 1, 1)),), (n, report.pairs)
             assert report.matches_theorem is True

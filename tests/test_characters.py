@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import character_table_oracle, degree_by_hooks
+from oracles import character_table_oracle, column_push_oracle, degree_by_hooks
 from symchar import (
     CharTable,
     CharTableCacheError,
@@ -31,6 +31,8 @@ from symchar import (
 from symchar.characters import (
     MAX_TABLE_N,
     SCHEMA_VERSION,
+    _level,
+    _strip_matrix,
     mn_memo_size,
     reset_mn_memo,
     table_cache_path,
@@ -256,6 +258,33 @@ def test_column_build_matches_mn_char_entry_by_entry():
         for i, lam in enumerate(t.order):
             for j, mu in enumerate(t.order):
                 assert t.values[i][j] == mn_char(lam, mu), (n, lam, mu)
+
+
+def test_column_build_matches_the_push_build(table_for):
+    # past the exhaustive mn_char check, against the build the strip matrices replaced
+    for n in range(13, 19):
+        assert table_for(n).values == column_push_oracle(n, partitions_of(n)), n
+
+
+def test_strip_matrices_match_border_strip_removals():
+    # every (m, k) step of a build for n <= 12: the step that adds a part k to
+    # an ascending prefix of a class summing to m
+    for n in range(1, 13):
+        steps = set()
+        for mu in partitions_of(n):
+            m = 0
+            for k in reversed(mu):
+                steps.add((m, k))
+                m += k
+        for m, k in steps:
+            src, signs, bounds = _strip_matrix(_level(m, n), _level(m + k, n), k)
+            shapes = partitions_of(m)
+            assert len(bounds) == len(partitions_of(m + k)) + 1
+            for r, lam in enumerate(partitions_of(m + k)):
+                row = slice(bounds[r], bounds[r + 1])
+                got = [(shapes[i], sign) for i, sign in zip(src[row], signs[row])]
+                expected = [(x.remaining, x.sign) for x in border_strip_removals(lam, k)]
+                assert sorted(got) == sorted(expected), (n, m, k, lam)
 
 
 def test_table_build_leaves_mn_memo_untouched():
