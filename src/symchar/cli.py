@@ -447,8 +447,12 @@ _SUITES = (
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .partitions import MAX_PARTITION_SIZE
+
     if args.n_min < 3 or args.n_min > args.n_max:
         raise ValueError(f"need 3 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
+    if args.n_max > MAX_PARTITION_SIZE:
+        raise ValueError(f"n-max {args.n_max} is past the size budget {MAX_PARTITION_SIZE}")
     passed = True
     for suite, check, skip in _SUITES:
         if args.suite not in (suite, "all"):

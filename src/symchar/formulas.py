@@ -7,17 +7,18 @@ integers; every division is checked to be exact so a transcription error
 cannot round silently.
 
 induced_value gives the value at w_mu of the character induced from the
-trivial or sign character of a two-block Young subgroup S_{n-k} x S_k.  The
-two recursions built on it (hook shapes (n-k, 1^k) and two-row shapes
-(n-k, k)) provide an evaluation route independent of the closed forms.
+trivial or sign character of a two-block Young subgroup S_{n-k} x S_k: the
+coefficient of t^k in prod_i (1 + s_i t^{mu_i}).  The two recursions built
+on that polynomial (hook shapes (n-k, 1^k) and two-row shapes (n-k, k))
+provide an evaluation route independent of the closed forms.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from math import comb
+from operator import add, sub
 
-from .partitions import Partition, multiplicities, sign_value
+from .partitions import Partition, multiplicities
 
 __all__ = [
     "NearHookShape",
@@ -102,14 +103,24 @@ def near_hook_value(shape: NearHookShape, mu: Partition) -> int:
     raise ValueError(f"unknown shape {shape!r}")
 
 
+def _induced_polynomial(inner: str, mu: Partition) -> list[int]:
+    """Coefficients 0..n of prod_i (1 + s_i t^{mu_i}), s_i as in induced_value."""
+    acc = [1] + [0] * sum(mu)
+    for part in mu:
+        # times (1 + s t^part) in one C-level pass; an even cycle is an odd permutation
+        op = sub if inner == "sign" and part % 2 == 0 else add
+        acc = [*acc[:part], *map(op, acc[part:], acc)]
+    return acc
+
+
 def induced_value(k: int, inner: str, mu: Partition) -> int:
     """Value at w_mu of the character induced to S_n from S_{n-k} x S_k.
 
     inner selects the character of the S_k factor: "trivial" or "sign" (the
-    S_{n-k} factor always carries trivial).  The value is a sum over the ways
-    to select a sub-multiset of the cycles of mu with total length k; each
-    selection contributes the product of binomial choices of equal cycles,
-    weighted by the inner character's value on the selected cycles.
+    S_{n-k} factor always carries trivial).  The value is the coefficient of
+    t^k in prod_i (1 + s_i t^{mu_i}): each selection of cycles of mu with
+    total length k counts the inner character on them, a factor s_i = 1 per
+    selected cycle under trivial and s_i = (-1)^(mu_i - 1) under sign.
 
     With inner="trivial" this is the permutation character counting k-subsets
     fixed by w_mu; with k=n and inner="sign" it degenerates to sign_value(mu).
@@ -119,23 +130,7 @@ def induced_value(k: int, inner: str, mu: Partition) -> int:
         raise ValueError(f"induced_value needs 1 <= k <= {n}, got k={k}")
     if inner not in ("trivial", "sign"):
         raise ValueError(f"inner must be 'trivial' or 'sign', got {inner!r}")
-
-    # Signed DP over distinct cycle lengths: acc[t] accumulates the weighted
-    # count of selections of total length t.  A selected cycle of length i
-    # contributes (-1)^(i-1) under the sign inner character.
-    acc = [0] * (k + 1)
-    acc[0] = 1
-    for value, count in multiplicities(mu).items():
-        per_cycle = 1 if inner == "trivial" else (-1 if value % 2 == 0 else 1)
-        nxt = acc[:]
-        for chosen in range(1, count + 1):
-            weight = comb(count, chosen) * per_cycle**chosen
-            step = value * chosen
-            for total in range(0, k + 1 - step):
-                if acc[total]:
-                    nxt[total + step] += acc[total] * weight
-        acc = nxt
-    return acc[k]
+    return _induced_polynomial(inner, mu)[k]
 
 
 def hook_char_recursive(k: int, mu: Partition) -> int:
@@ -147,9 +142,10 @@ def hook_char_recursive(k: int, mu: Partition) -> int:
     n = sum(mu)
     if not 0 <= k <= n - 1:
         raise ValueError(f"hook tail length must satisfy 0 <= k <= {n - 1}, got {k}")
+    induced = _induced_polynomial("sign", mu)
     value = 1
     for j in range(1, k + 1):
-        value = induced_value(j, "sign", mu) - value
+        value = induced[j] - value
     return value
 
 
@@ -161,7 +157,9 @@ def two_row_char_recursive(k: int, mu: Partition) -> int:
     n = sum(mu)
     if k < 0 or 2 * k > n:
         raise ValueError(f"second row must satisfy 0 <= k <= {n}/2, got {k}")
-    prefix = [1]
+    induced = _induced_polynomial("trivial", mu)
+    value = total = 1  # total: the sum of the chi_{(n-j,j)} so far
     for j in range(1, k + 1):
-        prefix.append(induced_value(j, "trivial", mu) - sum(prefix))
-    return prefix[k]
+        value = induced[j] - total
+        total += value
+    return value

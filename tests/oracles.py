@@ -9,6 +9,7 @@ paths; only plain tuples cross the boundary.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from typing import Callable
@@ -209,6 +210,32 @@ def induced_oracle(k: int, inner: str, mu: tuple[int, ...]) -> int:
             restricted = tuple(pos[g[x]] for x in subset)
             total += perm_sign_by_inversions(restricted)
     return total
+
+
+# --- induced characters by a binomial DP over cycle multiplicities -----------
+#
+# The package's induced_value before it read the coefficients of one product
+# polynomial, kept verbatim apart from the local multiplicity count.
+
+
+def induced_binomial_oracle(k: int, inner: str, mu: tuple[int, ...]) -> int:
+    """induced_oracle's value, counted by choosing how many cycles of each length."""
+    # Signed DP over distinct cycle lengths: acc[t] accumulates the weighted
+    # count of selections of total length t.  A selected cycle of length i
+    # contributes (-1)^(i-1) under the sign inner character.
+    acc = [0] * (k + 1)
+    acc[0] = 1
+    for value, count in collections.Counter(mu).items():
+        per_cycle = 1 if inner == "trivial" else (-1 if value % 2 == 0 else 1)
+        nxt = acc[:]
+        for chosen in range(1, count + 1):
+            weight = math.comb(count, chosen) * per_cycle**chosen
+            step = value * chosen
+            for total in range(0, k + 1 - step):
+                if acc[total]:
+                    nxt[total + step] += acc[total] * weight
+        acc = nxt
+    return acc[k]
 
 
 # --- covering pairs by a direct per-row scan ----------------------------------

@@ -8,6 +8,7 @@ are the wall-clock budgets, asserted where stated.
 import sys
 import time
 from contextlib import contextmanager
+from math import comb
 
 from symchar import (
     centralizer_order,
@@ -30,6 +31,7 @@ from symchar import (
     two_row_char_recursive,
 )
 from symchar.characters import reset_mn_memo
+from symchar.cli import main
 from symchar.formulas import NearHookShape
 
 
@@ -178,3 +180,14 @@ def test_10_table_14_cold_build_time():
         table = character_table(14)
         assert time.perf_counter() - start < 60
         assert len(table.order) == 135
+
+
+def test_11_recursions_at_the_size_budget(capsys):
+    with criterion("hook and two-row recursions at n=2000 < 60s"):
+        start = time.perf_counter()
+        identity = (1,) * 2000
+        assert hook_char_recursive(1998, identity) == 1999
+        assert two_row_char_recursive(1000, identity) == comb(2000, 1000) // 1001
+        code = main(["eval", "--lambda", "2,1^1998", "--mu", "1^2000", "--method", "recursion"])
+        assert (code, capsys.readouterr().out) == (0, "1999\n")
+        assert time.perf_counter() - start < 60

@@ -641,6 +641,22 @@ def test_verify_rejects_bad_range(cache, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_refuses_n_max_past_the_size_budget(cache, capsys, monkeypatch):
+    # no suite to run: a range that slipped through would exit 0 having done nothing
+    import symchar.cli as cli_module
+    from symchar.partitions import MAX_PARTITION_SIZE
+
+    monkeypatch.setattr(cli_module, "_SUITES", ())
+    argv = ["--cache-dir", cache, "verify", "--suite", "theorem", "--n-min", "3", "--n-max"]
+    for n_max in (MAX_PARTITION_SIZE + 1, 1_000_000_000):
+        assert main([*argv, str(n_max)]) == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "size budget" in captured.err
+    assert main([*argv, str(MAX_PARTITION_SIZE)]) == EXIT_OK
+    assert not Path(cache).exists()
+
+
 @pytest.mark.parametrize(
     "error, module, function, argv",
     [

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import degree_by_hooks, induced_oracle
+from oracles import degree_by_hooks, induced_binomial_oracle, induced_oracle
 from symchar import (
     NearHookShape,
     hook_char_recursive,
@@ -97,6 +97,34 @@ def test_induced_value_matches_subset_enumeration_oracle():
                         inner,
                         mu,
                     )
+
+
+def test_induced_value_matches_the_binomial_dp_through_n_16():
+    for n in range(1, 17):
+        for mu in partitions_of(n):
+            for inner in ("trivial", "sign"):
+                for k in range(1, n + 1):
+                    want = induced_binomial_oracle(k, inner, mu)
+                    assert induced_value(k, inner, mu) == want, (k, inner, mu)
+
+
+def test_each_recursion_call_builds_one_polynomial(monkeypatch):
+    import symchar.formulas as formulas
+
+    built = []
+    real = formulas._induced_polynomial
+
+    def counted(inner, mu):
+        built.append(inner)
+        return real(inner, mu)
+
+    monkeypatch.setattr(formulas, "_induced_polynomial", counted)
+    mu = (4, 3, 2, 2, 1, 1)
+    assert hook_char_recursive(10, mu) == mn_char((3,) + (1,) * 10, mu)
+    assert built == ["sign"]
+    built.clear()
+    assert two_row_char_recursive(6, mu) == mn_char((7, 6), mu)
+    assert built == ["trivial"]
 
 
 def test_induced_value_rejects_bad_arguments():
