@@ -1,15 +1,17 @@
 """Exact irreducible character values of symmetric groups.
 
-character_table(n) builds the full p(n) x p(n) table a column at a time.
-Column mu is the Schur expansion of the power sum p_mu, obtained from the
-empty shape by adding border strips of mu's parts in ascending order.  An
-expansion at level m is a dense tuple over the partitions of m in canonical
-order, and adding a k-strip pulls it through the strip matrix of (m, k):
-for each shape of m + k, the indices and signs of the shapes a k-strip
-removal leaves, found with int bitmask beta-sets, built once per build and
-applied in C-level passes.  The trie of ascending prefixes is walked depth
-first, so every shared prefix is expanded once, and the matrices live only
-as long as the walk.  Rows and columns follow the canonical partition order
+character_table(n) builds the full p(n) x p(n) table a level at a time, by
+the Murnaghan-Nakayama rule.  Level m holds one row per partition of m,
+packed into one Python int with a 64-bit slot per class of m whose parts
+are at most n - m (every class at m = n): the classes that can be the
+smallest parts of a class of n.  Classes in canonical order are grouped by
+largest part k, and a row's group k is the sum, over the k-strip removals
+from its shape, of sign * the last slots of the row of level m - k that
+the removal leaves: one big-int addition per removal, every slot of the
+group at once.  The removals come from the strip matrix of (m - k, k): for
+each shape of m, the indices and signs of the shapes left, found with int
+bitmask beta-sets.  The rows of level n are unpacked into tuples of ints
+as they are made.  Rows and columns follow the canonical partition order
 of partitions_of(n); an optional JSON disk cache holds the result, and its
 serialization is byte-for-byte reproducible.
 
@@ -28,12 +30,13 @@ other.  All arithmetic is exact over Python ints.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
+import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
-from operator import mul, sub
+from itertools import islice, pairwise
 from pathlib import Path
 from typing import Iterator
 
@@ -65,10 +68,11 @@ SCHEMA_VERSION = 2
 
 # Largest n that character_table builds or loads.  The table holds p(n)^2
 # Python ints, so memory grows like p(n)^2 however fast the build is: a cold
-# `symchar vanishing-pairs 26` takes 6.9 s and 332 MiB of peak RSS, and 28
-# takes 17 s and 759 MiB (2-vCPU Xeon, Python 3.11.7), while at n = 40
+# `symchar vanishing-pairs 26` takes 1.5 s and 332 MiB of peak RSS, and 28
+# takes 3.4 s and 756 MiB (2-vCPU Xeon, Python 3.11.7), while at n = 40
 # (p = 37,338) the row slots alone would take over 10 GiB.  Checked before
-# any cache read or build, so a refusal costs nothing.
+# any cache read or build, so a refusal costs nothing.  The build's 64-bit
+# slots would hold every value through n = 33.
 MAX_TABLE_N = 28
 
 
@@ -238,8 +242,10 @@ class CharTable:
 
         Not a field, so == never compares it and dataclasses.replace never
         carries it over; table_from_json seeds it with the lines it decoded.
+        Every row is formatted by one "%d,...,%d" string built once per table.
         """
-        return tuple(",".join(map(str, row)) for row in self.values)
+        line = ",".join(["%d"] * len(self.order))
+        return tuple(map(line.__mod__, self.values))
 
     @cached_property
     def json_text(self) -> str:
@@ -299,48 +305,85 @@ def _strip_matrix(
     return src, signs, bounds
 
 
-def _columns(n: int, order: tuple[Partition, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Every column of the table of S_n as (index in order, values in row order).
+# A packed row holds one value per 64-bit slot, slot j at bits 64j..64j+63,
+# stored with 2^63 added: every slot then lies in [0, 2^64), so no slot
+# borrows from its neighbour and a run of slots is one shift and one
+# subtraction away.  A value fits while |chi| <= sqrt(n!) < 2^63.
+_SLOT_BIAS = (1 << 63).to_bytes(8, "little")
 
-    Column mu holds the Schur coefficients of p_mu: the expansion at level m
-    of an ascending prefix of mu's parts, times p_k, is the level m + k
-    vector pulled through the strip matrix of (m, k) in a few C-level
-    passes.  The walk over ascending prefixes is depth first, so a shared
-    prefix is expanded once and only the vectors of the current path and of
-    its pending siblings are alive.  Each matrix is built on first use and
-    is dropped with the walk, when the last column has been yielded.
+
+def _bias(slots: int) -> int:
+    """2^63 in each of `slots` 64-bit slots."""
+    return int.from_bytes(_SLOT_BIAS * slots, "little")
+
+
+def _add_strips(
+    source: list[int], start: int, size: int, matrix: tuple[list[int], list[int], list[int]]
+) -> Iterator[bytes]:
+    """Pull slots start .. start + size - 1, the last, of packed source rows through a strip matrix.
+
+    Yields, for each shape of the target level in order, the packed bytes of
+    the sum of sign * (those slots of the row left by a removal) over its
+    removals: one big-int addition per removal, the slots added in parallel.
     """
-    col_of = {mu: j for j, mu in enumerate(order)}
+    bias = _bias(size)
+    terms = [(row >> 64 * start) - bias for row in source]
+    terms += [-term for term in terms]
+    src, signs, bounds = matrix
+    # a removal of sign -1 reads the negated term
+    src = [i if sign > 0 else i + len(source) for i, sign in zip(src, signs)]
+    nbytes = 8 * size
+    for lo, hi in pairwise(bounds):
+        yield (sum(map(terms.__getitem__, src[lo:hi])) + bias).to_bytes(nbytes, "little")
+
+
+def _table_values(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the character table of S_n, rows and columns in canonical order.
+
+    Level m holds one packed row per shape of m, with a slot for each class
+    of m whose parts are at most n - m (all classes at m = n).  Canonical
+    order sorts classes by largest part, descending, and a class of m with
+    largest part k is k added to a class of m - k with parts at most k, which
+    are the last slots of level m - k.  So row lam's group of slots for k is
+    the sum over the k-strip removals from lam of sign * those slots of the
+    row left: the Murnaghan-Nakayama rule, one level at a time.  Level n's
+    rows are unpacked as they are assembled, so they are never all packed.
+    """
+    # |chi|^2 <= n!, so every value fits a signed 64-bit slot while n! < 2^126
+    if math.factorial(n) >= 1 << 126:
+        raise ValueError(f"the values of S_{n} may not fit a 64-bit slot: n! >= 2^126")
+    # fits[j][k]: the number of partitions of j with no part above k
+    fits = [[1] * (n + 1)]
+    for j in range(1, n + 1):
+        counts = [0]
+        for k in range(1, n + 1):
+            counts.append(counts[-1] + (fits[j - k][k] if k <= j else 0))
+        fits.append(counts)
     levels = [_level(m, n) for m in range(n + 1)]
-    matrices: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
 
-    def add_strips(vec: tuple[int, ...], m: int, k: int) -> tuple[int, ...]:
-        matrix = matrices.get((m, k))
-        if matrix is None:
-            matrix = matrices[m, k] = _strip_matrix(levels[m], levels[m + k], k)
-        src, signs, bounds = matrix
-        sums = list(accumulate(map(mul, signs, map(vec.__getitem__, src)), initial=0))
-        ends = list(map(sums.__getitem__, bounds))
-        return tuple(map(sub, islice(ends, 1, None), ends))
+    def rows(m: int) -> Iterator[bytes]:
+        # slot groups by largest part k, descending, so a row is their bytes joined
+        groups = [
+            _add_strips(
+                packed[m - k],
+                fits[m - k][n - m + k] - fits[m - k][k],
+                fits[m - k][k],
+                _strip_matrix(levels[m - k], levels[m], k),
+            )
+            for k in range(min(m, n - m or n), 0, -1)
+        ]
+        return map(b"".join, zip(*groups))
 
-    # (expansion at level m, m, the parts added so far in descending order)
-    stack: list[tuple[tuple[int, ...], int, Partition]] = [((1,), 0, ())]
-    while stack:
-        vec, m, parts = stack.pop()
-        rest = n - m
-        # the parts still to add are all >= parts[0]: the next one is either
-        # all the rest, which ends a column, or fits twice
-        for k in range(parts[0] if parts else 1, rest // 2 + 1):
-            stack.append((add_strips(vec, m, k), m + k, (k, *parts)))
-        yield col_of[(rest, *parts)], add_strips(vec, m, rest)
-
-
-def _table_values(n: int, order: tuple[Partition, ...]) -> tuple[tuple[int, ...], ...]:
-    # the walk, and with it every strip matrix, is gone before the transpose
-    columns: list[tuple[int, ...]] = [()] * len(order)
-    for j, column in _columns(n, order):
-        columns[j] = column
-    return tuple(zip(*columns))
+    packed = [[_bias(1) + 1]]  # the empty shape at the empty class
+    for m in range(1, n):
+        packed.append([int.from_bytes(row, "little") for row in rows(m)])
+    width = len(levels[n])
+    bias = _bias(width)
+    unpack = struct.Struct(f"<{width}q").unpack
+    return tuple(
+        unpack((int.from_bytes(row, "little") ^ bias).to_bytes(8 * width, "little"))
+        for row in rows(n)
+    )
 
 
 def character_table(n: int, *, cache_dir: str | Path | None = None) -> CharTable:
@@ -366,7 +409,7 @@ def character_table(n: int, *, cache_dir: str | Path | None = None) -> CharTable
             return table
 
     order = partitions_of(n)
-    table = CharTable(n=n, order=order, values=_table_values(n, order))
+    table = CharTable(n=n, order=order, values=_table_values(n))
     if path is not None:
         save_table(table, path)
     return table
@@ -511,7 +554,8 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     """Write text to a temporary file beside path, sync it, then rename it over path.
 
     An interrupted write or a crash leaves the old file (or none), never a
-    truncated one; on any failure the temporary file is removed.
+    truncated one; on any failure the temporary file is removed, and an
+    OSError with an errno is raised again naming path.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -521,8 +565,11 @@ def write_text_atomic(path: str | Path, text: str) -> None:
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.errno is not None:
+            # name the file asked for, not the temporary one
+            raise OSError(e.errno, e.strerror, str(path)) from e
         raise
 
 

@@ -2,7 +2,9 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
+import time
 from dataclasses import replace
 
 import pytest
@@ -33,6 +35,7 @@ from symchar.characters import (
     SCHEMA_VERSION,
     _level,
     _strip_matrix,
+    _table_values,
     mn_memo_size,
     reset_mn_memo,
     table_cache_path,
@@ -262,13 +265,40 @@ def test_column_build_matches_mn_char_entry_by_entry():
 
 def test_column_build_matches_the_push_build(table_for):
     # past the exhaustive mn_char check, against the build the strip matrices replaced
-    for n in range(13, 19):
+    for n in range(13, 21):
         assert table_for(n).values == column_push_oracle(n, partitions_of(n)), n
 
 
+def test_table_24_matches_mn_char_at_seeded_entries(table_for):
+    # past the oracles' reach: 300 seeded entries against the single-value route
+    start = time.perf_counter()
+    table = table_for(24)
+    rng = random.Random(2024)
+    for _ in range(300):
+        lam, mu = rng.choice(table.order), rng.choice(table.order)
+        assert table.value(lam, mu) == mn_char(lam, mu), (lam, mu)
+    assert time.perf_counter() - start < 60
+
+
+def test_build_refuses_values_past_the_slot_width_before_any_work(monkeypatch):
+    import symchar.characters as characters_module
+
+    # |chi| <= sqrt(n!) < 2^63 holds through n = 33, so n = 34 is the first refused
+    assert math.factorial(33) < 1 << 126 <= math.factorial(34)
+
+    def no_level(m, n):
+        raise AssertionError(f"level {m} of S_{n} was built")
+
+    monkeypatch.setattr(characters_module, "_level", no_level)
+    with pytest.raises(ValueError, match="64-bit slot"):
+        _table_values(34)
+
+
 def test_strip_matrices_match_border_strip_removals():
-    # every (m, k) step of a build for n <= 12: the step that adds a part k to
-    # an ascending prefix of a class summing to m
+    # every (m, k) step of a build for n <= 12: level m + k's slots for the
+    # classes with largest part k come from level m, and a build takes the
+    # step when a class of n, its parts added in ascending order, reaches m
+    # just before a part k
     for n in range(1, 13):
         steps = set()
         for mu in partitions_of(n):
@@ -321,6 +351,8 @@ def _decimal_lines(table: CharTable) -> tuple[str, ...]:
 
 
 def test_row_text_is_the_decimal_lines_of_values(tmp_path):
+    assert character_table(1).row_text == ("1",)
+    assert character_table(2).row_text == ("1,1", "-1,1")
     for n in range(1, 13):
         built = character_table(n)
         assert "row_text" not in vars(built)
@@ -510,7 +542,7 @@ def test_invalid_table_sizes_rejected():
 def test_table_limit_refuses_before_any_cache_read_or_build(tmp_path, monkeypatch):
     import symchar.characters as characters_module
 
-    def no_build(n, order):
+    def no_build(n):
         raise AssertionError(f"the table of S_{n} was built")
 
     monkeypatch.setattr(characters_module, "_table_values", no_build)

@@ -172,6 +172,17 @@ def test_chartable_out_to_missing_dir_is_io_failure(cache, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_out_write_errors_name_the_requested_path(cache, tmp_path, capsys):
+    # a missing directory fails at the temporary file, a directory at the rename
+    for target in (tmp_path / "missing_dir" / "t.txt", tmp_path / "cache"):
+        assert main(["--cache-dir", cache, "chartable", "3", "--out", str(target)]) == EXIT_IO_FAILURE
+        err = capsys.readouterr().err
+        assert repr(str(target)) in err, err
+        assert ".tmp" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [table_cache_path(cache, 3).name]
+
+
 def test_cache_dir_env_var(cache, tmp_path, monkeypatch, capsys):
     envdir = tmp_path / "from-env"
     monkeypatch.setenv("SYMCHAR_CACHE", str(envdir))
@@ -621,7 +632,7 @@ def test_verify_skips_table_suites_beyond_the_table_limit(cache, capsys, monkeyp
 def test_table_commands_refuse_past_the_table_limit(cache, capsys, monkeypatch):
     import symchar.characters as characters_module
 
-    def no_build(n, order):
+    def no_build(n):
         raise AssertionError(f"the table of S_{n} was built")
 
     monkeypatch.setattr(characters_module, "_table_values", no_build)
