@@ -12,13 +12,16 @@ group at once.  The removals come from the strip matrix of (m - k, k): for
 each shape of m, the indices and signs of the shapes left, found with int
 bitmask beta-sets.  The rows of level n are unpacked into tuples of ints
 as they are made.  Rows and columns follow the canonical partition order
-of partitions_of(n); an optional JSON disk cache holds the result, and its
-serialization is byte-for-byte reproducible.
+of partitions_of(n).
 
-Each table turns its rows into decimal text once (CharTable.row_text): the
-cache encoder and the CLI's table writers all read those lines, and a table
-loaded from a cache file gets them from the decoder, which has already
-checked and hashed every line of the file.
+An optional disk cache holds one binary file per n: a fixed header, the
+p(n)^2 values as signed 64-bit little-endian ints, row-major, and a SHA-256
+of everything before it.  A cold build writes the int64 bytes it has just
+unpacked, and a warm load is one digest and one struct unpack: no text is
+parsed.  table_to_json is the `chartable --format json` encoder, and
+table_from_json its inverse; the cache never reads or writes JSON.  Each
+table turns its rows into decimal text once (CharTable.row_text), which the
+JSON encoder and the CLI's table writers all read.
 
 mn_char(lam, mu) is the independent single-value route: the
 Murnaghan-Nakayama rule with a fixed strategy (always peel a border strip
@@ -29,10 +32,8 @@ other.  All arithmetic is exact over Python ints.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,15 +62,15 @@ __all__ = [
     "table_from_json",
     "save_table",
     "load_table",
-    "write_text_atomic",
+    "write_atomic",
 ]
 
 SCHEMA_VERSION = 2
 
 # Largest n that character_table builds or loads.  The table holds p(n)^2
 # Python ints, so memory grows like p(n)^2 however fast the build is: a cold
-# `symchar vanishing-pairs 26` takes 1.5 s and 332 MiB of peak RSS, and 28
-# takes 3.4 s and 756 MiB (2-vCPU Xeon, Python 3.11.7), while at n = 40
+# `symchar vanishing-pairs 26` takes 1.8 s and 155 MiB of peak RSS, and 28
+# takes 3.8 s and 344 MiB (2-vCPU Xeon, Python 3.11.7), while at n = 40
 # (p = 37,338) the row slots alone would take over 10 GiB.  Checked before
 # any cache read or build, so a refusal costs nothing.  The build's 64-bit
 # slots would hold every value through n = 33.
@@ -241,16 +242,11 @@ class CharTable:
         """One line per row of values: its decimal strings joined by commas.
 
         Not a field, so == never compares it and dataclasses.replace never
-        carries it over; table_from_json seeds it with the lines it decoded.
-        Every row is formatted by one "%d,...,%d" string built once per table.
+        carries it over.  Every row is formatted by one "%d,...,%d" string
+        built once per table.
         """
         line = ",".join(["%d"] * len(self.order))
         return tuple(map(line.__mod__, self.values))
-
-    @cached_property
-    def json_text(self) -> str:
-        """table_to_json(self), encoded once and shared by the cache write and any output."""
-        return table_to_json(self)
 
     def index(self, p: Partition) -> int:
         try:
@@ -337,17 +333,19 @@ def _add_strips(
         yield (sum(map(terms.__getitem__, src[lo:hi])) + bias).to_bytes(nbytes, "little")
 
 
-def _table_values(n: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of the character table of S_n, rows and columns in canonical order.
+def _table_rows(n: int) -> Iterator[bytes]:
+    """The rows of the character table of S_n, as signed 64-bit little-endian bytes.
 
-    Level m holds one packed row per shape of m, with a slot for each class
-    of m whose parts are at most n - m (all classes at m = n).  Canonical
+    Rows and columns are in canonical order.  Level m holds one packed row
+    per shape of m, with a slot for each class of m whose parts are at most
+    n - m (all classes at m = n).  Canonical
     order sorts classes by largest part, descending, and a class of m with
     largest part k is k added to a class of m - k with parts at most k, which
     are the last slots of level m - k.  So row lam's group of slots for k is
     the sum over the k-strip removals from lam of sign * those slots of the
-    row left: the Murnaghan-Nakayama rule, one level at a time.  Level n's
-    rows are unpacked as they are assembled, so they are never all packed.
+    row left: the Murnaghan-Nakayama rule, one level at a time.  Every level
+    below n is built before this returns; level n's rows are made one at a
+    time as the result is iterated, so they are never all packed ints.
     """
     # |chi|^2 <= n!, so every value fits a signed 64-bit slot while n! < 2^126
     if math.factorial(n) >= 1 << 126:
@@ -379,19 +377,26 @@ def _table_values(n: int) -> tuple[tuple[int, ...], ...]:
         packed.append([int.from_bytes(row, "little") for row in rows(m)])
     width = len(levels[n])
     bias = _bias(width)
-    unpack = struct.Struct(f"<{width}q").unpack
-    return tuple(
-        unpack((int.from_bytes(row, "little") ^ bias).to_bytes(8 * width, "little"))
-        for row in rows(n)
-    )
+    return ((int.from_bytes(row, "little") ^ bias).to_bytes(8 * width, "little") for row in rows(n))
+
+
+def _row_struct(width: int) -> struct.Struct:
+    """A row of `width` signed 64-bit little-endian ints."""
+    return struct.Struct(f"<{width}q")
+
+
+def _table_values(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the character table of S_n as tuples of ints, in canonical order."""
+    rows = _table_rows(n)  # first, so the slot check runs before anything else
+    return tuple(map(_row_struct(len(partitions_of(n))).unpack, rows))
 
 
 def character_table(n: int, *, cache_dir: str | Path | None = None) -> CharTable:
     """Character table of S_n in canonical order.
 
     n past MAX_TABLE_N raises ValueError before any cache read or build.
-    With cache_dir set, an existing cache file for this n and schema version
-    is loaded (a corrupt file, or one holding the table of another n, raises
+    With cache_dir set, an existing cache file for this n is loaded (a
+    corrupt file, or one holding the table of another n, raises
     CharTableCacheError rather than being silently recomputed); otherwise the
     table is computed and saved there.
     """
@@ -409,18 +414,35 @@ def character_table(n: int, *, cache_dir: str | Path | None = None) -> CharTable
             return table
 
     order = partitions_of(n)
-    table = CharTable(n=n, order=order, values=_table_values(n))
-    if path is not None:
-        save_table(table, path)
+    if path is None:
+        return CharTable(n=n, order=order, values=_table_values(n))
+    body = bytearray()
+    for row in _table_rows(n):
+        body += row
+    table = CharTable(n=n, order=order, values=tuple(_row_struct(len(order)).iter_unpack(body)))
+    # save_table writes the bytes just unpacked instead of packing the rows again;
+    # the table does not keep them
+    vars(table)["_body"] = body
+    save_table(table, path)
+    del vars(table)["_body"]
     return table
 
 
 # ---------------------------------------------------------------------------
-# Disk cache.  One JSON file per n; all integers are serialized as decimal
-# strings so consumers never hit 53-bit float truncation.  The serializer is
-# deterministic, which makes cache files byte-for-byte reproducible, and the
-# file carries a SHA-256 of its canonical payload, so a value changed by hand
-# is caught even when it is still a canonical integer.
+# Disk cache.  One binary file per n, all little-endian:
+#   a header: the format tag, the format version (uint32) and n (uint32);
+#   the body: p(n)^2 signed 64-bit values, row-major in canonical order;
+#   a trailer: the SHA-256 of the header and body.
+# Every value fits: a build refuses n! >= 2^126, and |chi| <= sqrt(n!).
+# The file is read back only whole and checked: tag, version and n first,
+# then its exact length and the digest, so a damaged file or one of another
+# program is refused before any value is read.
+
+_CACHE_TAG = b"SYMCHART"
+_CACHE_VERSION = 3
+_HEADER = struct.Struct("<8sII")
+_DIGEST_SIZE = 32
+_INT64 = struct.Struct("<q")
 
 
 class CharTableCacheError(RuntimeError):
@@ -428,7 +450,128 @@ class CharTableCacheError(RuntimeError):
 
 
 def table_cache_path(cache_dir: str | Path, n: int) -> Path:
-    return Path(cache_dir) / f"chartable_v{SCHEMA_VERSION}_{n}.json"
+    return Path(cache_dir) / f"chartable_v{_CACHE_VERSION}_{n}.bin"
+
+
+def _sha256(data: bytes):
+    import hashlib  # here, not at module level: the CLI's start-up never needs it
+
+    return hashlib.sha256(data)
+
+
+def _pack_values(table: CharTable) -> bytearray:
+    """table.values as a cache file's body; ValueError names any value that does not fit."""
+    width = len(table.order)
+    if len(table.values) != width:
+        raise ValueError(f"a table of {width} classes needs {width} rows, got {len(table.values)}")
+    pack = _row_struct(width).pack
+    body = bytearray()
+    for i, row in enumerate(table.values):
+        try:
+            body += pack(*row)
+        except struct.error as e:
+            where = f"row {i}"
+            for j, value in enumerate(row):
+                try:
+                    _INT64.pack(value)
+                except struct.error:
+                    where = f"row {i}, column {j}"
+                    break
+            raise ValueError(f"{where} does not pack as signed 64-bit ints: {e}") from None
+    return body
+
+
+def save_table(table: CharTable, path: str | Path) -> None:
+    """Write table to path as a cache file, atomically.
+
+    A table fresh from character_table brings the bytes its build unpacked;
+    any other table is packed here, and ValueError refuses a table that the
+    file cannot hold (n past 1..MAX_TABLE_N, an order that is not canonical,
+    a value outside [-2^63, 2^63)) before any file is made.
+    """
+    path = Path(path)
+    n = table.n
+    if not 1 <= n <= MAX_TABLE_N:
+        raise ValueError(f"a cache file holds a table of S_1 .. S_{MAX_TABLE_N}, not S_{n}")
+    if table.order != partitions_of(n):
+        raise ValueError(f"the order of the table of S_{n} is not canonical")
+    body = vars(table).get("_body")
+    if body is None:
+        body = _pack_values(table)
+    header = _HEADER.pack(_CACHE_TAG, _CACHE_VERSION, n)
+    digest = _sha256(header)
+    digest.update(body)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, header, body, digest.digest())
+
+
+def load_table(path: str | Path) -> CharTable:
+    """The table in a cache file; CharTableCacheError names a file that fails any check."""
+    path = Path(path)
+    with open(path, "rb") as f:
+        header = f.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise CharTableCacheError(f"cache file {path} is truncated: {len(header)} bytes")
+        tag, version, n = _HEADER.unpack(header)
+        if tag != _CACHE_TAG:
+            raise CharTableCacheError(f"cache file {path} is not a symchar table: tag {tag!r}")
+        if version != _CACHE_VERSION:
+            raise CharTableCacheError(
+                f"cache file {path}: format version {version} != expected {_CACHE_VERSION}"
+            )
+        # checked before the partitions of n are listed: n = 200 would be a hang
+        if not 1 <= n <= MAX_TABLE_N:
+            raise CharTableCacheError(f"cache file {path}: n={n} is outside 1..{MAX_TABLE_N}")
+        order = partitions_of(n)
+        size = 8 * len(order) ** 2
+        body = f.read(size)
+        digest = f.read(_DIGEST_SIZE + 1)
+        if len(body) != size or len(digest) != _DIGEST_SIZE:
+            expected = _HEADER.size + size + _DIGEST_SIZE
+            raise CharTableCacheError(
+                f"cache file {path} is {os.fstat(f.fileno()).st_size} bytes, "
+                f"not {expected} for n={n}"
+            )
+    hashed = _sha256(header)
+    hashed.update(body)
+    if hashed.digest() != digest:
+        raise CharTableCacheError(
+            f"cache file {path}: sha256 does not match its contents (edited or damaged)"
+        )
+    return CharTable(n=n, order=order, values=tuple(_row_struct(len(order)).iter_unpack(body)))
+
+
+def write_atomic(path: str | Path, *chunks: str | bytes) -> None:
+    """Write the chunks to a temporary file beside path, sync it, then rename it over path.
+
+    A str chunk is written as UTF-8, so one writer serves text and bytes.  An
+    interrupted write or a crash leaves the old file (or none), never a
+    truncated one; on any failure the temporary file is removed, and an
+    OSError with an errno is raised again naming path.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException as e:
+        tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.errno is not None:
+            # name the file asked for, not the temporary one
+            raise OSError(e.errno, e.strerror, str(path)) from e
+        raise
+
+
+# ---------------------------------------------------------------------------
+# JSON: the `chartable --format json` payload and its inverse.  Every integer
+# is a decimal string, so consumers never hit 53-bit float truncation; the
+# encoder is deterministic, and the payload carries a SHA-256 of its
+# canonical lines, so a value changed by hand is caught even when it is
+# still a canonical integer.
 
 
 def _payload_hash(n: int):
@@ -437,9 +580,7 @@ def _payload_hash(n: int):
     The caller adds one line per order entry, then one per row of values, each
     its decimal strings joined by commas; every line ends in a newline.
     """
-    import hashlib  # here, not at module level: the CLI's start-up never needs it
-
-    return hashlib.sha256(f"{SCHEMA_VERSION}\n{n}\n".encode("ascii"))
+    return _sha256(f"{SCHEMA_VERSION}\n{n}\n".encode("ascii"))
 
 
 def _json_rows(rows: list[str]) -> str:
@@ -449,7 +590,7 @@ def _json_rows(rows: list[str]) -> str:
 
 
 def table_to_json(table: CharTable) -> str:
-    """The cache file's text: json.dumps(payload, indent=2) + "\n", built row by row.
+    """The `chartable --format json` text: json.dumps(payload, indent=2) + "\n", built row by row.
 
     payload holds schema_version, n, order, values and sha256, in that order,
     every integer a decimal string.  Each row's comma-joined line (for values,
@@ -469,7 +610,7 @@ def table_to_json(table: CharTable) -> str:
 
 
 # The decoders below raise ValueError or TypeError; table_from_json turns
-# those into a CharTableCacheError that names the file.
+# those into a CharTableCacheError that names the source.
 
 
 def _decode_int(text: object, what: str) -> int:
@@ -478,18 +619,14 @@ def _decode_int(text: object, what: str) -> int:
     return int(text)
 
 
-# A row of canonical decimal strings, comma-joined: no sign on 0, no leading zeros.
-_CANONICAL_LINE = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*")
-
-
-def _decode_row(row: object, what: str, digest) -> tuple[tuple[int, ...], str]:
+def _decode_row(row: object, what: str, digest, canonical) -> tuple[int, ...]:
     """Decode a JSON array of canonical decimal strings and feed its line to digest.
 
     The row is joined, parsed and matched in C-level passes.  int() rejects
     a comma, so once every value parses the joined line splits back into the
-    values, and the pattern checks each of them.  A row that fails is decoded
-    again value by value, so the error names the first bad value.  Returns
-    the values and the line, which is then ",".join(map(str, values)).
+    values, and canonical (the pattern's fullmatch) checks each of them.  A
+    row that fails is decoded again value by value, so the error names the
+    first bad value.
     """
     if type(row) is not list:
         raise TypeError(f"expected a JSON array of {what} strings, got {type(row).__name__}")
@@ -498,91 +635,55 @@ def _decode_row(row: object, what: str, digest) -> tuple[tuple[int, ...], str]:
         ints = tuple(map(int, row))
     except (TypeError, ValueError):
         line = ""
-    if not _CANONICAL_LINE.fullmatch(line):
+    if not canonical(line):
         ints = tuple(_decode_int(v, what) for v in row)
     digest.update((line + "\n").encode("ascii"))
-    return ints, line
+    return ints
 
 
-def table_from_json(text: str, *, source: str = "<memory>") -> CharTable:
+def table_from_json(text: str | bytes, *, source: str = "<memory>") -> CharTable:
+    """The table that table_to_json encoded; CharTableCacheError if text is anything else."""
+    # imported here: only JSON input needs them, never a table build or cache read
+    import json
+    import re
+
+    # a row of canonical decimal strings, comma-joined: no sign on 0, no leading zeros
+    canonical = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*").fullmatch
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        # RecursionError: arrays nested past the interpreter's recursion limit
-        raise CharTableCacheError(f"cache file {source} is not valid JSON: {e}") from None
+    except (ValueError, RecursionError) as e:
+        # ValueError: bad JSON, or bytes in no JSON encoding; RecursionError:
+        # arrays nested past the interpreter's recursion limit
+        raise CharTableCacheError(f"table JSON {source} is not valid JSON: {e}") from None
     try:
         if not isinstance(payload, dict):
-            raise CharTableCacheError(f"cache file {source}: top level must be an object")
+            raise CharTableCacheError(f"table JSON {source}: top level must be an object")
         missing = {"schema_version", "n", "order", "values", "sha256"} - payload.keys()
         if missing:
-            raise CharTableCacheError(f"cache file {source}: missing keys {sorted(missing)}")
+            raise CharTableCacheError(f"table JSON {source}: missing keys {sorted(missing)}")
         version = _decode_int(payload["schema_version"], "schema_version")
         if version != SCHEMA_VERSION:
             raise CharTableCacheError(
-                f"cache file {source}: schema_version {version} != expected {SCHEMA_VERSION}"
+                f"table JSON {source}: schema_version {version} != expected {SCHEMA_VERSION}"
             )
         n = _decode_int(payload["n"], "n")
         digest = _payload_hash(n)
-        order = tuple(_decode_row(p, "order entry", digest)[0] for p in payload["order"])
-        # compared lazily: a large n in a damaged file must not enumerate p(n) partitions
+        order = tuple(_decode_row(p, "order entry", digest, canonical) for p in payload["order"])
+        # compared lazily: a large n in damaged text must not enumerate p(n) partitions
         if order != tuple(islice(iter_partitions(n), len(order) + 1)):
-            raise CharTableCacheError(f"cache file {source}: order is not canonical for n={n}")
+            raise CharTableCacheError(f"table JSON {source}: order is not canonical for n={n}")
         raw = payload["values"]
         if len(raw) != len(order):
-            raise CharTableCacheError(f"cache file {source}: expected {len(order)} rows")
+            raise CharTableCacheError(f"table JSON {source}: expected {len(order)} rows")
         values = []
-        lines = []
         for row in raw:
             if len(row) != len(order):
-                raise CharTableCacheError(f"cache file {source}: ragged row of length {len(row)}")
-            ints, line = _decode_row(row, "value", digest)
-            values.append(ints)
-            lines.append(line)
+                raise CharTableCacheError(f"table JSON {source}: ragged row of length {len(row)}")
+            values.append(_decode_row(row, "value", digest, canonical))
         if payload["sha256"] != digest.hexdigest():
             raise CharTableCacheError(
-                f"cache file {source}: sha256 does not match its contents (edited or damaged)"
+                f"table JSON {source}: sha256 does not match its contents (edited or damaged)"
             )
-        table = CharTable(n=n, order=order, values=tuple(values))
-        # seeded as cached_property would store it: the lines are checked and hashed
-        vars(table)["row_text"] = tuple(lines)
-        return table
+        return CharTable(n=n, order=order, values=tuple(values))
     except (TypeError, ValueError) as e:
-        raise CharTableCacheError(f"cache file {source} is malformed: {e}") from None
-
-
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write text to a temporary file beside path, sync it, then rename it over path.
-
-    An interrupted write or a crash leaves the old file (or none), never a
-    truncated one; on any failure the temporary file is removed, and an
-    OSError with an errno is raised again naming path.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(text)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException as e:
-        tmp.unlink(missing_ok=True)
-        if isinstance(e, OSError) and e.errno is not None:
-            # name the file asked for, not the temporary one
-            raise OSError(e.errno, e.strerror, str(path)) from e
-        raise
-
-
-def save_table(table: CharTable, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(path, table.json_text)
-
-
-def load_table(path: str | Path) -> CharTable:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise CharTableCacheError(f"cache file {path} is not UTF-8 text: {e}") from None
-    return table_from_json(text, source=str(path))
+        raise CharTableCacheError(f"table JSON {source} is malformed: {e}") from None

@@ -14,7 +14,7 @@ IndexError, MemoryError) is a fault in symchar: exit 1 with one error line.
 JSON output renders every integer as a decimal string so arbitrarily large
 character values survive consumers that parse numbers as doubles.  The table
 writers (json, csv, pretty) all print the table's row_text, the decimal lines
-made once per table, or handed over by the cache decoder on a warm load.
+made once per table.
 
 Each process is one request, and every module it imports is compiled anew
 when no bytecode cache is written, so library names are imported inside the
@@ -156,20 +156,26 @@ def _render_table_pretty(table: CharTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render_table_json(table: CharTable) -> str:
+    from .characters import table_to_json
+
+    return table_to_json(table)
+
+
 _TABLE_RENDERERS = {
-    "json": lambda table: table.json_text,
+    "json": _render_table_json,
     "csv": _render_table_csv,
     "pretty": _render_table_pretty,
 }
 
 
 def _cmd_chartable(args: argparse.Namespace) -> int:
-    from .characters import character_table, write_text_atomic
+    from .characters import character_table, write_atomic
 
     table = character_table(args.n, cache_dir=args.cache_dir)
     payload = _TABLE_RENDERERS[args.format](table)
     if args.out is not None:
-        write_text_atomic(args.out, payload)
+        write_atomic(args.out, payload)
     else:
         sys.stdout.write(payload)
     return EXIT_OK

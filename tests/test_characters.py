@@ -4,11 +4,12 @@ import math
 import os
 import random
 import re
+import struct
 import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import character_table_oracle, column_push_oracle, degree_by_hooks
@@ -335,15 +336,28 @@ def test_table_lookup_helpers():
         t.index((6,))
 
 
+def _cache_bytes(n: int, version: int, values, tag: bytes = b"SYMCHART") -> bytes:
+    # the cache file layout, written out independently of the library
+    header = struct.pack("<8sII", tag, version, n)
+    body = b"".join(struct.pack(f"<{len(row)}q", *row) for row in values)
+    return header + body + hashlib.sha256(header + body).digest()
+
+
 def test_json_round_trip_and_determinism(tmp_path):
     t = character_table(6)
     text = table_to_json(t)
     assert table_from_json(text) == t
     assert table_to_json(table_from_json(text)) == text  # byte-stable
-    path = tmp_path / "cache" / f"chartable_v{SCHEMA_VERSION}_6.json"
+    # the cache file: a header, the int64 rows and their SHA-256, byte-stable
+    # whether the rows come from a build or are packed from a table
+    path = tmp_path / "cache" / "t6.bin"
     save_table(t, path)
     assert load_table(path) == t
-    assert path.read_text() == text
+    assert path.read_bytes() == _cache_bytes(6, 3, t.values)
+    assert character_table(6, cache_dir=tmp_path) == t
+    assert table_cache_path(tmp_path, 6).read_bytes() == path.read_bytes()
+    save_table(load_table(path), path)
+    assert path.read_bytes() == _cache_bytes(6, 3, t.values)
 
 
 def _decimal_lines(table: CharTable) -> tuple[str, ...]:
@@ -357,17 +371,20 @@ def test_row_text_is_the_decimal_lines_of_values(tmp_path):
         built = character_table(n)
         assert "row_text" not in vars(built)
         assert built.row_text == _decimal_lines(built), n
-        path = tmp_path / f"t{n}.json"
+        path = tmp_path / f"t{n}.bin"
         save_table(built, path)
         loaded = load_table(path)
-        # the decoder seeds the lines it checked and hashed
-        assert "row_text" in vars(loaded), n
+        # a cache file holds no text: the loaded table makes its lines from its values
+        assert "row_text" not in vars(loaded), n
         assert loaded.row_text == _decimal_lines(loaded), n
         assert loaded == built
+        decoded = table_from_json(table_to_json(built))
+        assert "row_text" not in vars(decoded), n
+        assert decoded.row_text == _decimal_lines(built), n
 
 
 def test_replaced_values_get_fresh_row_text(tmp_path):
-    path = tmp_path / "t5.json"
+    path = tmp_path / "t5.bin"
     save_table(character_table(5), path)
     for table in (character_table(5), load_table(path)):
         old = table.row_text
@@ -386,6 +403,7 @@ def test_character_table_disk_cache_round_trip(tmp_path):
 
 
 def test_corrupt_cache_fails_loudly(tmp_path):
+    # JSON text in the cache file's place, valid or not, is not a cache file
     path = table_cache_path(tmp_path, 4)
     path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -438,7 +456,7 @@ def _with_value(text: str, row: int, col: int, value: str) -> str:
 @pytest.mark.parametrize(
     "damage, match",
     [
-        (lambda good: b"\xff\xfe{", "not UTF-8"),
+        (lambda good: b"\xff\xfe{", "not valid JSON"),
         (lambda good: b"[" * 200_000, "not valid JSON"),
         # chi_(4,1)((5)) is -1; 7 is still a canonical integer
         (lambda good: _with_value(good, 1, 0, "7").encode(), "sha256 does not match"),
@@ -451,10 +469,53 @@ def _with_value(text: str, row: int, col: int, value: str) -> str:
     ],
     ids=["not-utf8", "deeply-nested", "tampered-value", "non-canonical-value", "tampered-digest", "large-n"],
 )
-def test_damaged_cache_file_fails_loudly(tmp_path, damage, match):
-    table_cache_path(tmp_path, 5).write_bytes(damage(table_to_json(character_table(5))))
+def test_damaged_cache_file_fails_loudly(damage, match):
+    # JSON text is no longer a cache format; its decoder keeps every check
     with pytest.raises(CharTableCacheError, match=match):
+        table_from_json(damage(table_to_json(character_table(5))))
+
+
+def _flip(data: bytes, offset: int) -> bytes:
+    return data[:offset] + bytes([data[offset] ^ 1]) + data[offset + 1 :]
+
+
+# S_5: a 16-byte header, 7 rows of 7 int64 values, a 32-byte digest
+@pytest.mark.parametrize(
+    "damage, match",
+    [
+        (lambda good: good[:-1], "439 bytes, not 440 for n=5"),
+        (lambda good: good + b"\0", "441 bytes, not 440 for n=5"),
+        (lambda good: b"SYMCHARX" + good[8:], "not a symchar table"),
+        (lambda good: good[:8] + struct.pack("<I", 4) + good[12:], "format version 4 != expected 3"),
+        # chi_(4,1)((5)) is -1; its low byte flipped, the old digest kept
+        (lambda good: _flip(good, 16 + 8 * 7), "sha256 does not match"),
+        (lambda good: _flip(good, len(good) - 1), "sha256 does not match"),
+        # refused before the 4 * 10^12 partitions of 200 are listed
+        (lambda good: good[:12] + struct.pack("<I", 200) + good[16:], "n=200 is outside 1..28"),
+    ],
+    ids=[
+        "cut-byte", "added-byte", "wrong-tag", "wrong-version", "flipped-value", "flipped-digest",
+        "large-n",
+    ],
+)
+def test_damaged_binary_cache_file_fails_loudly(tmp_path, monkeypatch, damage, match):
+    import symchar.characters as characters_module
+
+    character_table(5, cache_dir=tmp_path)
+    path = table_cache_path(tmp_path, 5)
+    good = path.read_bytes()
+    assert len(good) == 16 + 8 * 7 * 7 + 32
+    path.write_bytes(damage(good))
+    if match.startswith("n=200"):
+
+        def no_listing(n):
+            raise AssertionError(f"the partitions of {n} were listed")
+
+        monkeypatch.setattr(characters_module, "partitions_of", no_listing)
+        monkeypatch.setattr(characters_module, "iter_partitions", no_listing)
+    with pytest.raises(CharTableCacheError, match=match) as raised:
         character_table(5, cache_dir=tmp_path)
+    assert str(path) in str(raised.value)
 
 
 @st.composite
@@ -470,6 +531,54 @@ def _tables(draw) -> CharTable:
 @given(_tables())
 def test_json_round_trip_property(table):
     assert table_from_json(table_to_json(table)) == table
+
+
+@st.composite
+def _int64_tables(draw) -> CharTable:
+    # any signed 64-bit values in canonical order: the cache file holds every one
+    order = partitions_of(draw(st.integers(1, 6)))
+    row = st.lists(
+        st.integers(-(1 << 63), (1 << 63) - 1), min_size=len(order), max_size=len(order)
+    ).map(tuple)
+    values = draw(st.lists(row, min_size=len(order), max_size=len(order)).map(tuple))
+    return CharTable(n=sum(order[0]), order=order, values=values)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_int64_tables())
+def test_cache_file_round_trip_property(tmp_path, table):
+    path = tmp_path / "t.bin"
+    save_table(table, path)
+    assert load_table(path) == table
+    assert path.read_bytes() == _cache_bytes(table.n, 3, table.values)
+
+
+@pytest.mark.parametrize("value", [1 << 63, -(1 << 63) - 1, 1.5])
+def test_save_refuses_a_value_past_int64_before_any_file(tmp_path, value):
+    table = character_table(3)
+    values = (table.values[0], (-1, 0, value), table.values[2])
+    path = tmp_path / "cache" / "t3.bin"
+    with pytest.raises(ValueError, match="row 1, column 2"):
+        save_table(replace(table, values=values), path)
+    assert list(tmp_path.iterdir()) == []
+    # the ends of the range are kept
+    for edge in (-(1 << 63), (1 << 63) - 1):
+        edged = replace(table, values=(table.values[0], (-1, 0, edge), table.values[2]))
+        save_table(edged, path)
+        assert load_table(path) == edged
+
+
+def test_save_refuses_a_table_the_file_cannot_hold(tmp_path):
+    table = character_table(3)
+    for bad, match in [
+        (replace(table, order=tuple(reversed(table.order))), "not canonical"),
+        (replace(table, values=table.values[:2]), "needs 3 rows"),
+        (replace(table, values=(table.values[0], (1, 1), table.values[2])), "row 1 does not pack"),
+        (CharTable(n=29, order=((29,),), values=((1,),)), "not S_29"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            save_table(bad, tmp_path / "t.bin")
+    assert list(tmp_path.iterdir()) == []
 
 
 _JSON_TOKEN = re.compile(r'"[^"]*"|[][{}:,]|-?[0-9]+|true|false|null')

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import pretty_table_oracle
 from symchar import CharTable, character_table, load_table, mn_char, save_table
-from symchar.characters import table_cache_path
+from symchar.characters import table_cache_path, table_from_json
 from symchar.cli import (
     EXIT_BRUTE_FORCE_LIMIT,
     EXIT_INVALID_INPUT,
@@ -92,7 +92,7 @@ def test_chartable_out_file_round_trips(cache, tmp_path, capsys):
     code = main(["--cache-dir", cache, "chartable", "5", "--format", "json", "--out", str(target)])
     assert code == EXIT_OK
     assert capsys.readouterr().out == ""
-    assert load_table(target) == character_table(5)
+    assert table_from_json(target.read_text(encoding="utf-8")) == character_table(5)
 
 
 def test_chartable_cache_round_trip_is_byte_stable(cache, capsys):
@@ -105,7 +105,7 @@ def test_chartable_cache_round_trip_is_byte_stable(cache, capsys):
 
 
 def test_chartable_json_encodes_the_table_once(cache, capsys, monkeypatch):
-    # on a cache miss the cache file and stdout share one encoding
+    # on a cache miss only stdout is JSON: the cache file holds the int64 rows
     import symchar.characters as characters_module
     import symchar.cli as cli_module
 
@@ -121,9 +121,9 @@ def test_chartable_json_encodes_the_table_once(cache, capsys, monkeypatch):
     assert main(["--cache-dir", cache, "chartable", "6", "--format", "json"]) == EXIT_OK
     assert calls == [6]
     out = capsys.readouterr().out
-    assert out == table_cache_path(cache, 6).read_text(encoding="utf-8")
     assert out == encode(character_table(6))
-    # on a hit the file's bytes come back from the decoded table's row text
+    assert load_table(table_cache_path(cache, 6)) == character_table(6)
+    # on a hit the loaded table is encoded once, to the same bytes
     calls.clear()
     assert main(["--cache-dir", cache, "chartable", "6", "--format", "json"]) == EXIT_OK
     assert calls == [6]
@@ -141,11 +141,12 @@ def test_chartable_corrupt_cache_is_loud(cache, capsys):
     assert "error:" in captured.err
 
 
-def _tampered_s5() -> bytes:
-    # chi_(4,1)((5)) rewritten from -1 to 7, a canonical integer, digest kept
-    payload = json.loads(character_table(5).json_text)
-    payload["values"][1][0] = "7"
-    return (json.dumps(payload, indent=2) + "\n").encode()
+def _tampered_s5(path: Path) -> bytes:
+    # chi_(4,1)((5)) rewritten from -1 to 7 in the int64 body, digest kept
+    save_table(character_table(5), path)
+    data = path.read_bytes()
+    offset = 16 + 8 * 7  # past the header, at row 1, column 0
+    return data[:offset] + (7).to_bytes(8, "little", signed=True) + data[offset + 8 :]
 
 
 @pytest.mark.parametrize(
@@ -156,7 +157,7 @@ def _tampered_s5() -> bytes:
 def test_unreadable_cache_file_is_io_failure(cache, capsys, content):
     path = table_cache_path(cache, 5)
     path.parent.mkdir(parents=True)
-    path.write_bytes(_tampered_s5() if content is None else content)
+    path.write_bytes(_tampered_s5(path) if content is None else content)
     for argv in (["chartable", "5"], ["vanishing-pairs", "5", "--format", "csv"]):
         assert main(["--cache-dir", cache, *argv]) == EXIT_IO_FAILURE, argv
         captured = capsys.readouterr()
@@ -321,6 +322,20 @@ def test_request_imports_only_its_modules(cache, tmp_path, argv, modules):
     assert loaded == modules
     if argv[0] in ("--help", "eval"):
         assert not hashlib_loaded
+
+
+def test_table_requests_never_import_json(tmp_path):
+    # a cold build and save, then a warm load: the cache holds no JSON
+    script = (
+        "import sys; from symchar.characters import character_table\n"
+        "cold = character_table(5, cache_dir=sys.argv[1])\n"
+        "assert character_table(5, cache_dir=sys.argv[1]) == cold\n"
+        "print('json' in sys.modules)"
+    )
+    done = _run_python(["-c", script, str(tmp_path / "cache")], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["chartable_v3_5.bin"]
 
 
 def test_import_symchar_loads_no_submodule(tmp_path):
