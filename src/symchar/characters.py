@@ -16,9 +16,8 @@ of partitions_of(n).
 
 An optional disk cache holds one binary file per n: a fixed header, the
 p(n)^2 values as signed 64-bit little-endian ints, row-major, and a SHA-256
-of everything before it.  A cold build writes the int64 bytes it has just
-unpacked, and a warm load is one digest and one struct unpack: no text is
-parsed.  table_to_json is the `chartable --format json` encoder, and
+of everything before it.  A cold build packs its rows with struct, and a
+warm load is one digest and one struct unpack: no text is parsed.  table_to_json is the `chartable --format json` encoder, and
 table_from_json its inverse; the cache never reads or writes JSON.  Each
 table turns its rows into decimal text once (CharTable.row_text), which the
 JSON encoder and the CLI's table writers all read.
@@ -333,19 +332,17 @@ def _add_strips(
         yield (sum(map(terms.__getitem__, src[lo:hi])) + bias).to_bytes(nbytes, "little")
 
 
-def _table_rows(n: int) -> Iterator[bytes]:
-    """The rows of the character table of S_n, as signed 64-bit little-endian bytes.
+def _table_values(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the character table of S_n, rows and columns in canonical order.
 
-    Rows and columns are in canonical order.  Level m holds one packed row
-    per shape of m, with a slot for each class of m whose parts are at most
-    n - m (all classes at m = n).  Canonical
+    Level m holds one packed row per shape of m, with a slot for each class
+    of m whose parts are at most n - m (all classes at m = n).  Canonical
     order sorts classes by largest part, descending, and a class of m with
     largest part k is k added to a class of m - k with parts at most k, which
     are the last slots of level m - k.  So row lam's group of slots for k is
     the sum over the k-strip removals from lam of sign * those slots of the
-    row left: the Murnaghan-Nakayama rule, one level at a time.  Every level
-    below n is built before this returns; level n's rows are made one at a
-    time as the result is iterated, so they are never all packed ints.
+    row left: the Murnaghan-Nakayama rule, one level at a time.  Level n's
+    rows are unpacked as they are assembled, so they are never all packed.
     """
     # |chi|^2 <= n!, so every value fits a signed 64-bit slot while n! < 2^126
     if math.factorial(n) >= 1 << 126:
@@ -377,18 +374,16 @@ def _table_rows(n: int) -> Iterator[bytes]:
         packed.append([int.from_bytes(row, "little") for row in rows(m)])
     width = len(levels[n])
     bias = _bias(width)
-    return ((int.from_bytes(row, "little") ^ bias).to_bytes(8 * width, "little") for row in rows(n))
+    unpack = _row_struct(width).unpack
+    return tuple(
+        unpack((int.from_bytes(row, "little") ^ bias).to_bytes(8 * width, "little"))
+        for row in rows(n)
+    )
 
 
 def _row_struct(width: int) -> struct.Struct:
     """A row of `width` signed 64-bit little-endian ints."""
     return struct.Struct(f"<{width}q")
-
-
-def _table_values(n: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of the character table of S_n as tuples of ints, in canonical order."""
-    rows = _table_rows(n)  # first, so the slot check runs before anything else
-    return tuple(map(_row_struct(len(partitions_of(n))).unpack, rows))
 
 
 def character_table(n: int, *, cache_dir: str | Path | None = None) -> CharTable:
@@ -414,17 +409,9 @@ def character_table(n: int, *, cache_dir: str | Path | None = None) -> CharTable
             return table
 
     order = partitions_of(n)
-    if path is None:
-        return CharTable(n=n, order=order, values=_table_values(n))
-    body = bytearray()
-    for row in _table_rows(n):
-        body += row
-    table = CharTable(n=n, order=order, values=tuple(_row_struct(len(order)).iter_unpack(body)))
-    # save_table writes the bytes just unpacked instead of packing the rows again;
-    # the table does not keep them
-    vars(table)["_body"] = body
-    save_table(table, path)
-    del vars(table)["_body"]
+    table = CharTable(n=n, order=order, values=_table_values(n))
+    if path is not None:
+        save_table(table, path)
     return table
 
 
@@ -484,8 +471,7 @@ def _pack_values(table: CharTable) -> bytearray:
 def save_table(table: CharTable, path: str | Path) -> None:
     """Write table to path as a cache file, atomically.
 
-    A table fresh from character_table brings the bytes its build unpacked;
-    any other table is packed here, and ValueError refuses a table that the
+    The rows are packed with struct, and ValueError refuses a table that the
     file cannot hold (n past 1..MAX_TABLE_N, an order that is not canonical,
     a value outside [-2^63, 2^63)) before any file is made.
     """
@@ -495,9 +481,7 @@ def save_table(table: CharTable, path: str | Path) -> None:
         raise ValueError(f"a cache file holds a table of S_1 .. S_{MAX_TABLE_N}, not S_{n}")
     if table.order != partitions_of(n):
         raise ValueError(f"the order of the table of S_{n} is not canonical")
-    body = vars(table).get("_body")
-    if body is None:
-        body = _pack_values(table)
+    body = _pack_values(table)
     header = _HEADER.pack(_CACHE_TAG, _CACHE_VERSION, n)
     digest = _sha256(header)
     digest.update(body)
