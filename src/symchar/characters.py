@@ -17,10 +17,11 @@ of partitions_of(n).
 An optional disk cache holds one binary file per n: a fixed header, the
 p(n)^2 values as signed 64-bit little-endian ints, row-major, and a SHA-256
 of everything before it.  A cold build packs its rows with struct, and a
-warm load is one digest and one struct unpack: no text is parsed.  table_to_json is the `chartable --format json` encoder, and
-table_from_json its inverse; the cache never reads or writes JSON.  Each
-table turns its rows into decimal text once (CharTable.row_text), which the
-JSON encoder and the CLI's table writers all read.
+warm load is one digest and one struct unpack: no text is parsed.
+table_to_json is the `chartable --format json` encoder, and table_from_json
+its inverse; the cache never reads or writes JSON.  CharTable.row_text makes
+a table's decimal lines each time it is read, and a request reads it once:
+in the JSON encoder or in one of the CLI's table writers.
 
 mn_char(lam, mu) is the independent single-value route: the
 Murnaghan-Nakayama rule with a fixed strategy (always peel a border strip
@@ -68,11 +69,11 @@ SCHEMA_VERSION = 2
 
 # Largest n that character_table builds or loads.  The table holds p(n)^2
 # Python ints, so memory grows like p(n)^2 however fast the build is: a cold
-# `symchar vanishing-pairs 26` takes 1.8 s and 155 MiB of peak RSS, and 28
-# takes 3.8 s and 344 MiB (2-vCPU Xeon, Python 3.11.7), while at n = 40
-# (p = 37,338) the row slots alone would take over 10 GiB.  Checked before
-# any cache read or build, so a refusal costs nothing.  The build's 64-bit
-# slots would hold every value through n = 33.
+# `symchar vanishing-pairs 26` takes 2.2 s and 184 MiB of peak RSS, and 28
+# takes 5.3 s and 407 MiB (fresh processes, 2-vCPU Xeon, Python 3.11.7),
+# while at n = 40 (p = 37,338) the row slots alone would take over 10 GiB.
+# Checked before any cache read or build, so a refusal costs nothing.  The
+# build's 64-bit slots would hold every value through n = 33.
 MAX_TABLE_N = 28
 
 
@@ -236,14 +237,9 @@ class CharTable:
     def _index(self) -> dict[Partition, int]:
         return {p: i for i, p in enumerate(self.order)}
 
-    @cached_property
+    @property
     def row_text(self) -> tuple[str, ...]:
-        """One line per row of values: its decimal strings joined by commas.
-
-        Not a field, so == never compares it and dataclasses.replace never
-        carries it over.  Every row is formatted by one "%d,...,%d" string
-        built once per table.
-        """
+        """One line per row of values: its decimal strings joined by commas."""
         line = ",".join(["%d"] * len(self.order))
         return tuple(map(line.__mod__, self.values))
 
@@ -594,7 +590,7 @@ def table_to_json(table: CharTable) -> str:
 
 
 # The decoders below raise ValueError or TypeError; table_from_json turns
-# those into a CharTableCacheError that names the source.
+# those into a CharTableCacheError that names the bad value.
 
 
 def _decode_int(text: object, what: str) -> int:
@@ -603,71 +599,54 @@ def _decode_int(text: object, what: str) -> int:
     return int(text)
 
 
-def _decode_row(row: object, what: str, digest, canonical) -> tuple[int, ...]:
-    """Decode a JSON array of canonical decimal strings and feed its line to digest.
-
-    The row is joined, parsed and matched in C-level passes.  int() rejects
-    a comma, so once every value parses the joined line splits back into the
-    values, and canonical (the pattern's fullmatch) checks each of them.  A
-    row that fails is decoded again value by value, so the error names the
-    first bad value.
-    """
+def _decode_row(row: object, what: str, digest) -> tuple[int, ...]:
+    """Decode a JSON array of canonical decimal strings and feed its line to digest."""
     if type(row) is not list:
         raise TypeError(f"expected a JSON array of {what} strings, got {type(row).__name__}")
-    try:
-        line = ",".join(row)
-        ints = tuple(map(int, row))
-    except (TypeError, ValueError):
-        line = ""
-    if not canonical(line):
-        ints = tuple(_decode_int(v, what) for v in row)
-    digest.update((line + "\n").encode("ascii"))
+    ints = tuple(_decode_int(v, what) for v in row)
+    digest.update((",".join(row) + "\n").encode("ascii"))
     return ints
 
 
-def table_from_json(text: str | bytes, *, source: str = "<memory>") -> CharTable:
+def table_from_json(text: str | bytes) -> CharTable:
     """The table that table_to_json encoded; CharTableCacheError if text is anything else."""
-    # imported here: only JSON input needs them, never a table build or cache read
-    import json
-    import re
+    import json  # here: only JSON input needs it, never a table build or cache read
 
-    # a row of canonical decimal strings, comma-joined: no sign on 0, no leading zeros
-    canonical = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*").fullmatch
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as e:
         # ValueError: bad JSON, or bytes in no JSON encoding; RecursionError:
         # arrays nested past the interpreter's recursion limit
-        raise CharTableCacheError(f"table JSON {source} is not valid JSON: {e}") from None
+        raise CharTableCacheError(f"table JSON is not valid JSON: {e}") from None
     try:
         if not isinstance(payload, dict):
-            raise CharTableCacheError(f"table JSON {source}: top level must be an object")
+            raise CharTableCacheError("table JSON: top level must be an object")
         missing = {"schema_version", "n", "order", "values", "sha256"} - payload.keys()
         if missing:
-            raise CharTableCacheError(f"table JSON {source}: missing keys {sorted(missing)}")
+            raise CharTableCacheError(f"table JSON: missing keys {sorted(missing)}")
         version = _decode_int(payload["schema_version"], "schema_version")
         if version != SCHEMA_VERSION:
             raise CharTableCacheError(
-                f"table JSON {source}: schema_version {version} != expected {SCHEMA_VERSION}"
+                f"table JSON: schema_version {version} != expected {SCHEMA_VERSION}"
             )
         n = _decode_int(payload["n"], "n")
         digest = _payload_hash(n)
-        order = tuple(_decode_row(p, "order entry", digest, canonical) for p in payload["order"])
+        order = tuple(_decode_row(p, "order entry", digest) for p in payload["order"])
         # compared lazily: a large n in damaged text must not enumerate p(n) partitions
         if order != tuple(islice(iter_partitions(n), len(order) + 1)):
-            raise CharTableCacheError(f"table JSON {source}: order is not canonical for n={n}")
+            raise CharTableCacheError(f"table JSON: order is not canonical for n={n}")
         raw = payload["values"]
         if len(raw) != len(order):
-            raise CharTableCacheError(f"table JSON {source}: expected {len(order)} rows")
+            raise CharTableCacheError(f"table JSON: expected {len(order)} rows")
         values = []
         for row in raw:
             if len(row) != len(order):
-                raise CharTableCacheError(f"table JSON {source}: ragged row of length {len(row)}")
-            values.append(_decode_row(row, "value", digest, canonical))
+                raise CharTableCacheError(f"table JSON: ragged row of length {len(row)}")
+            values.append(_decode_row(row, "value", digest))
         if payload["sha256"] != digest.hexdigest():
             raise CharTableCacheError(
-                f"table JSON {source}: sha256 does not match its contents (edited or damaged)"
+                "table JSON: sha256 does not match its contents (edited or damaged)"
             )
         return CharTable(n=n, order=order, values=tuple(values))
     except (TypeError, ValueError) as e:
-        raise CharTableCacheError(f"table JSON {source} is malformed: {e}") from None
+        raise CharTableCacheError(f"table JSON is malformed: {e}") from None

@@ -14,7 +14,7 @@ IndexError, MemoryError) is a fault in symchar: exit 1 with one error line.
 JSON output renders every integer as a decimal string so arbitrarily large
 character values survive consumers that parse numbers as doubles.  The table
 writers (json, csv, pretty) all print the table's row_text, the decimal lines
-made once per table.
+of its values; a request runs one writer, so it makes them once.
 
 Each process is one request, and every module it imports is compiled anew
 when no bytecode cache is written, so library names are imported inside the

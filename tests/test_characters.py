@@ -462,12 +462,22 @@ def _with_value(text: str, row: int, col: int, value: str) -> str:
         (lambda good: _with_value(good, 1, 0, "7").encode(), "sha256 does not match"),
         # a non-canonical value is named, whatever the digest says
         (lambda good: _with_value(good, 1, 0, "-01").encode(), "'-01'"),
+        # int() accepts each of these, and str(int(v)) != v refuses it
+        (lambda good: _with_value(good, 1, 0, "+1").encode(), re.escape("'+1'")),
+        (lambda good: _with_value(good, 1, 0, " 1").encode(), "' 1'"),
+        (lambda good: _with_value(good, 1, 0, "1_0").encode(), "'1_0'"),
+        (lambda good: _with_value(good, 1, 0, "-0").encode(), "'-0'"),
+        # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+        (lambda good: _with_value(good, 1, 0, "\u0663").encode(), repr("\u0663")),
         (lambda good: good.replace('"sha256": "', '"sha256": "0').encode(), "sha256 does not match"),
         # n and the first order entry both made 200: rejected without
         # enumerating the 4 * 10^12 partitions of 200
         (lambda good: good.replace('"5"', '"200"', 2).encode(), "order is not canonical"),
     ],
-    ids=["not-utf8", "deeply-nested", "tampered-value", "non-canonical-value", "tampered-digest", "large-n"],
+    ids=[
+        "not-utf8", "deeply-nested", "tampered-value", "non-canonical-value", "plus-sign",
+        "leading-space", "underscore", "minus-zero", "non-ascii-digit", "tampered-digest", "large-n",
+    ],
 )
 def test_damaged_cache_file_fails_loudly(damage, match):
     # JSON text is no longer a cache format; its decoder keeps every check
