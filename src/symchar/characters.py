@@ -20,8 +20,8 @@ of everything before it.  A cold build packs its rows with struct, and a
 warm load is one digest and one struct unpack: no text is parsed.
 table_to_json is the `chartable --format json` encoder, and table_from_json
 its inverse; the cache never reads or writes JSON.  CharTable.row_text makes
-a table's decimal lines each time it is read, and a request reads it once:
-in the JSON encoder or in one of the CLI's table writers.
+a table's decimal lines each time it is read, and a request reads it at
+most once: in the JSON encoder or in the CLI's csv writer.
 
 mn_char(lam, mu) is the independent single-value route: the
 Murnaghan-Nakayama rule with a fixed strategy (always peel a border strip
@@ -41,7 +41,7 @@ from itertools import islice, pairwise
 from pathlib import Path
 from typing import Iterator
 
-from .partitions import Partition, iter_partitions, partitions_of, sign_value
+from .partitions import Partition, iter_partitions, partitions_of
 
 __all__ = [
     "RimHookRemoval",
@@ -53,7 +53,6 @@ __all__ = [
     "border_strip_removals",
     "mn_char",
     "degree",
-    "sign_value",
     "character_table",
     "reset_mn_memo",
     "mn_memo_size",

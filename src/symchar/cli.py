@@ -12,9 +12,9 @@ An exception that no documented case covers (KeyError, TypeError,
 IndexError, MemoryError) is a fault in symchar: exit 1 with one error line.
 
 JSON output renders every integer as a decimal string so arbitrarily large
-character values survive consumers that parse numbers as doubles.  The table
-writers (json, csv, pretty) all print the table's row_text, the decimal lines
-of its values; a request runs one writer, so it makes them once.
+character values survive consumers that parse numbers as doubles.  The json
+and csv table writers print the table's row_text, the decimal lines of its
+values; the pretty writer formats the values itself, one row per `%` format.
 
 Each process is one request, and every module it imports is compiled anew
 when no bytecode cache is written, so library names are imported inside the
@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .characters import CharTable
-    from .formulas import NearHookShape
     from .partitions import Partition
     from .vanishing import CoveringPairReport
 
@@ -141,39 +140,24 @@ def _render_table_csv(table: CharTable) -> str:
 
 def _render_table_pretty(table: CharTable) -> str:
     labels = _dots(table.order)
-    label_width = max(map(len, labels))
     # a column's longest entry is its label, its max or its min (the most negative)
     widths = [
         max(len(label), len(str(max(column))), len(str(min(column))))
         for label, column in zip(labels, zip(*table.values))
     ]
-    # labels left-aligned, values right-aligned, two spaces between columns;
-    # the header is one more comma-joined line, as no label holds a comma
-    lines = [
-        "  ".join([label.ljust(label_width), *map(str.rjust, text.split(","), widths)])
-        for label, text in zip(["", *labels], [",".join(labels), *table.row_text])
-    ]
+    # labels left-aligned, values right-aligned, two spaces between columns
+    line = "  ".join([f"%-{max(map(len, labels))}s", *(f"%{width}s" for width in widths)])
+    lines = [line % ("", *labels)]
+    lines += [line % (label, *row) for label, row in zip(labels, table.values)]
     return "\n".join(lines) + "\n"
 
 
-def _render_table_json(table: CharTable) -> str:
-    from .characters import table_to_json
-
-    return table_to_json(table)
-
-
-_TABLE_RENDERERS = {
-    "json": _render_table_json,
-    "csv": _render_table_csv,
-    "pretty": _render_table_pretty,
-}
-
-
 def _cmd_chartable(args: argparse.Namespace) -> int:
-    from .characters import character_table, write_atomic
+    from .characters import character_table, table_to_json, write_atomic
 
+    renderers = {"json": table_to_json, "csv": _render_table_csv, "pretty": _render_table_pretty}
     table = character_table(args.n, cache_dir=args.cache_dir)
-    payload = _TABLE_RENDERERS[args.format](table)
+    payload = renderers[args.format](table)
     if args.out is not None:
         write_atomic(args.out, payload)
     else:
@@ -182,18 +166,6 @@ def _cmd_chartable(args: argparse.Namespace) -> int:
 
 
 # --- eval ------------------------------------------------------------------
-
-
-def _shape_for(lam: Partition, n: int) -> NearHookShape | None:
-    from .formulas import NearHookShape, shape_partition
-
-    for shape in NearHookShape:
-        try:
-            if shape_partition(shape, n) == lam:
-                return shape
-        except ValueError:
-            continue
-    return None
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -210,11 +182,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
         value = mn_char(lam, mu)
     elif args.method == "formula":
-        from .formulas import near_hook_value
+        from .formulas import NearHookShape, near_hook_value
 
-        shape = _shape_for(lam, n)
-        if shape is None:
-            raise ValueError(f"no closed-form shape matches {lam} at n={n}")
+        try:
+            # a shape's value is its tail below the first row
+            shape = NearHookShape(lam[1:])
+        except ValueError:
+            raise ValueError(f"no closed-form shape matches {lam} at n={n}") from None
         value = near_hook_value(shape, mu)
     else:
         from .formulas import hook_char_recursive, two_row_char_recursive

@@ -446,11 +446,15 @@ def test_table_to_json_is_json_dumps_of_the_payload():
         assert payload["sha256"] == hashlib.sha256(canonical).hexdigest(), n
 
 
-def _with_value(text: str, row: int, col: int, value: str) -> str:
-    # the file rewritten with one value changed and the old digest kept
+def _rewritten(text: str, edit) -> str:
+    # the file rewritten with one edit to its payload and the old digest kept
     payload = json.loads(text)
-    payload["values"][row][col] = value
+    edit(payload)
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _with_value(text: str, row: int, col: int, value: str) -> str:
+    return _rewritten(text, lambda payload: payload["values"][row].__setitem__(col, value))
 
 
 @pytest.mark.parametrize(
@@ -470,13 +474,24 @@ def _with_value(text: str, row: int, col: int, value: str) -> str:
         # ARABIC-INDIC DIGIT THREE, which int() reads as 3
         (lambda good: _with_value(good, 1, 0, "\u0663").encode(), repr("\u0663")),
         (lambda good: good.replace('"sha256": "', '"sha256": "0').encode(), "sha256 does not match"),
+        (lambda good: b"[]", "top level must be an object"),
+        (lambda good: _rewritten(good, lambda payload: payload["values"].pop()).encode(), "expected 7 rows"),
+        (
+            lambda good: _rewritten(good, lambda payload: payload["values"][1].pop()).encode(),
+            "ragged row of length 6",
+        ),
+        (
+            lambda good: _rewritten(good, lambda payload: payload["order"].__setitem__(0, "5")).encode(),
+            "expected a JSON array of order entry strings",
+        ),
         # n and the first order entry both made 200: rejected without
         # enumerating the 4 * 10^12 partitions of 200
         (lambda good: good.replace('"5"', '"200"', 2).encode(), "order is not canonical"),
     ],
     ids=[
         "not-utf8", "deeply-nested", "tampered-value", "non-canonical-value", "plus-sign",
-        "leading-space", "underscore", "minus-zero", "non-ascii-digit", "tampered-digest", "large-n",
+        "leading-space", "underscore", "minus-zero", "non-ascii-digit", "tampered-digest",
+        "top-level-array", "missing-row", "ragged-row", "order-entry-string", "large-n",
     ],
 )
 def test_damaged_cache_file_fails_loudly(damage, match):

@@ -20,6 +20,7 @@ from symchar.cli import (
     _render_table_pretty,
     main,
 )
+from symchar.formulas import NearHookShape
 
 
 @pytest.fixture(autouse=True)
@@ -51,8 +52,9 @@ def test_chartable_pretty(cache, capsys):
 
 
 def test_chartable_pretty_matches_the_format_string_layout(cache, capsys, table_for):
-    # cold: the table just built; warm: the table the cache decoder returned
-    for n in range(1, 13):
+    # cold: the table just built; warm: the table the cache decoder returned;
+    # n = 20 has columns six digits wide and negative
+    for n in [*range(1, 13), 20]:
         expected = pretty_table_oracle(table_for(n).order, table_for(n).values)
         for run in ("cold", "warm"):
             assert main(["--cache-dir", cache, "chartable", str(n)]) == EXIT_OK
@@ -398,7 +400,13 @@ def test_eval_refuses_a_partition_past_the_size_budget(cache, capsys):
 
 
 def test_eval_methods_agree(cache, capsys):
-    for lam, mu in (("6,1", "4,2,1"), ("5,2", "3,2,1,1"), ("4,2,1", "3,2,2")):
+    # the last four are the smallest n of their shapes; in 1,1 and 2,2 the
+    # first row equals the tail
+    cases = (
+        ("6,1", "4,2,1"), ("5,2", "3,2,1,1"), ("4,2,1", "3,2,2"),
+        ("1,1", "2"), ("2,2", "3,1"), ("2,1,1", "4"), ("1,1,1,1,1", "3,2"),
+    )
+    for lam, mu in cases:
         values = []
         for method in ("mn", "formula"):
             code = main(["--cache-dir", cache, "eval", "--lambda", lam, "--mu", mu, "--method", method])
@@ -423,12 +431,13 @@ def test_eval_rejections(cache, capsys):
     # malformed partition text
     assert main(["--cache-dir", cache, "eval", "--lambda", "x", "--mu", "3"]) == EXIT_INVALID_INPUT
     capsys.readouterr()
-    # no closed form covers three equal rows
-    assert (
-        main(["--cache-dir", cache, "eval", "--lambda", "2,2,2", "--mu", "6", "--method", "formula"])
-        == EXIT_INVALID_INPUT
-    )
-    capsys.readouterr()
+    # no closed form covers three equal rows, nor a shape with no tail
+    for lam, mu in (("2,2,2", "6"), ("3", "2,1")):
+        assert (
+            main(["--cache-dir", cache, "eval", "--lambda", lam, "--mu", mu, "--method", "formula"])
+            == EXIT_INVALID_INPUT
+        )
+        assert "no closed-form shape matches" in capsys.readouterr().err
     # recursion needs a hook or a two-row shape
     assert (
         main(["--cache-dir", cache, "eval", "--lambda", "2,2,2", "--mu", "6", "--method", "recursion"])
@@ -642,6 +651,64 @@ def test_verify_skips_table_suites_beyond_the_table_limit(cache, capsys, monkeyp
         "PASS structure n=7",
         "SKIP structure n=8 (beyond table limit 7)",
     ]
+
+
+def test_verify_reports_every_check_a_damaged_table_fails(cache, capsys):
+    # chi_(6,1)((7)) is -1; saved as 0, so the file's digest matches
+    table = character_table(7)
+    values = [list(row) for row in table.values]
+    values[table.index((6, 1))][table.index((7,))] = 0
+    save_table(replace(table, values=tuple(map(tuple, values))), table_cache_path(cache, 7))
+    code = main(["--cache-dir", cache, "verify", "--suite", "all", "--n-min", "7", "--n-max", "7"])
+    assert code == EXIT_VERIFY_FAILED
+    # the other classes on which chi_(6,1) is non-zero, and the hook rows below (7)
+    columns = [(5, 2), (5, 1, 1), (4, 3), (4, 1, 1, 1), (3, 2, 2), (3, 2, 1, 1), (3, 1, 1, 1, 1)]
+    columns += [(2, 2, 1, 1, 1), (2, 1, 1, 1, 1, 1), (1,) * 7]
+    hooks = [(6, 1), (5, 1, 1), (4, 1, 1, 1), (3, 1, 1, 1, 1), (2, 1, 1, 1, 1, 1), (1,) * 7]
+    assert _verify_lines(capsys.readouterr().out) == [
+        "PASS theorem n=7",
+        "FAIL orthogonality n=7",
+        "     column orthogonality fails at ((7,), (7,))",
+        "     row orthogonality fails at ((7,), (6, 1))",
+        *(f"     column orthogonality fails at ((7,), {mu})" for mu in columns),
+        *(f"     row orthogonality fails at ((6, 1), {lam})" for lam in hooks),
+        "PASS formulas n=7",
+        "FAIL structure n=7",
+        "     raised RuntimeError: structure constant for ((2, 2, 1, 1, 1), (7,), (4, 3)) came out "
+        "-127008000/(7!)^2; character table is internally inconsistent",
+    ]
+
+
+@pytest.mark.parametrize(
+    "route, wrong_at, suite, n, problem",
+    [
+        ("formulas.near_hook_value", (NearHookShape.R21, (8,)), "formulas", 8, "R21 at mu=(8,): formula 1 != mn 0"),
+        ("formulas.hook_char_recursive", (1, (8,)), "formulas", 8, "hook k=1 at mu=(8,): recursion 0 != mn -1"),
+        (
+            "class_algebra.structure_constant_bruteforce",
+            ((2, 2), (2, 2), (1, 1, 1, 1)),
+            "structure",
+            4,
+            "((2, 2), (2, 2), (1, 1, 1, 1)): formula 3 != enumeration 4",
+        ),
+    ],
+    ids=["near-hook", "hook-recursion", "brute-force"],
+)
+def test_verify_reports_a_wrong_route(cache, capsys, monkeypatch, route, wrong_at, suite, n, problem):
+    # the route answers one more than it should at one input, and right elsewhere
+    import importlib
+
+    module_name, name = route.split(".")
+    module = importlib.import_module(f"symchar.{module_name}")
+    right = getattr(module, name)
+
+    def off_by_one(*args, **kwargs):
+        return right(*args, **kwargs) + (args == wrong_at)
+
+    monkeypatch.setattr(module, name, off_by_one)
+    argv = ["--cache-dir", cache, "verify", "--suite", suite, "--n-min", str(n), "--n-max", str(n)]
+    assert main(argv) == EXIT_VERIFY_FAILED
+    assert _verify_lines(capsys.readouterr().out) == [f"FAIL {suite} n={n}", f"     {problem}"]
 
 
 def test_table_commands_refuse_past_the_table_limit(cache, capsys, monkeypatch):
