@@ -23,11 +23,12 @@ its inverse; the cache never reads or writes JSON.  CharTable.row_text makes
 a table's decimal lines each time it is read, and a request reads it at
 most once: in the JSON encoder or in the CLI's csv writer.
 
-mn_char(lam, mu) is the independent single-value route: the
-Murnaghan-Nakayama rule with a fixed strategy (always peel a border strip
-whose length is the largest remaining part of mu), memoized in a process-wide
-memo that table builds never touch.  The tests check each route against the
-other.  All arithmetic is exact over Python ints.
+mn_char(lam, mu) is the independent single-value route: one forward sweep
+of the Murnaghan-Nakayama rule over len(lam)-bead masks, peeling the parts
+of mu largest first and keeping a signed count for each shape reached.  It
+shares no code with the table build, and its process-wide memo holds one
+value per distinct call; table builds never touch it.  The tests check each
+route against the other.  All arithmetic is exact over Python ints.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from itertools import islice, pairwise
 from pathlib import Path
 from typing import Iterator
 
-from .partitions import Partition, iter_partitions, partitions_of
+from .partitions import Partition, as_partition, iter_partitions, partitions_of
 
 __all__ = [
     "RimHookRemoval",
@@ -156,53 +157,44 @@ _MN_MEMO: dict[tuple[Partition, Partition], int] = {}
 def mn_char(lam: Partition, mu: Partition) -> int:
     """Character value chi_lam(w_mu) for partitions lam, mu of the same n.
 
-    Murnaghan-Nakayama recursion: peel a border strip whose length is the
-    largest remaining part of mu, summing sign * subvalue over all removals.
-    The base case is chi of the empty partition at the empty class, which
-    is 1.  Values are memoized; the memo persists across calls (grow-only).
+    The parts of lam and mu may come in any order; ValueError refuses a part
+    that is not a positive int, or a size mismatch.  Murnaghan-Nakayama rule:
+    peel a border strip of each part of mu in turn, largest first, summing
+    sign * count over all removals (see _mn).  Each value is memoized once
+    per distinct (lam, mu) call; the memo persists across calls (grow-only).
     """
-    lam = tuple(lam)
-    mu = tuple(mu)
+    lam = as_partition(lam)
+    mu = as_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    return _mn(lam, mu)
+    key = (lam, mu)
+    if key not in _MN_MEMO:
+        _MN_MEMO[key] = _mn(lam, mu)
+    return _MN_MEMO[key]
 
 
 def _mn(lam: Partition, mu: Partition) -> int:
-    # Depth-first over (shape, suffix of mu) with an explicit stack instead of
-    # recursion, so a class with thousands of parts cannot exhaust Python's
-    # recursion limit.  key = (shape, suffix) is being evaluated; rest is the
-    # suffix left once its first part is peeled.
-    if not mu:
-        return 1
-    key = (lam, mu)
-    total = _MN_MEMO.get(key)
-    if total is not None:
-        return total
-    stack: list[tuple] = []
-    rest = mu[1:]
-    removals = iter(border_strip_removals(lam, mu[0]))
-    total = 0
-    while True:
-        for removal in removals:
-            if not rest:
-                total += removal.sign
-                continue
-            sub = (removal.remaining, rest)
-            value = _MN_MEMO.get(sub)
-            if value is None:
-                stack.append((key, rest, removals, total, removal.sign))
-                key, total = sub, 0
-                removals = iter(border_strip_removals(removal.remaining, rest[0]))
-                rest = rest[1:]
-                break
-            total += removal.sign * value
-        else:
-            _MN_MEMO[key] = total
-            if not stack:
-                return total
-            key, rest, removals, outer, sign = stack.pop()
-            total = outer + sign * total
+    # One forward sweep over bead masks: counts holds each shape reached so
+    # far, as its len(lam)-bead mask (bead i of lam at lam[i] + len(lam) - 1
+    # - i), with the signed number of ways to reach it.  A k-strip removal
+    # moves a bead b to the free position b - k, and its sign is the parity
+    # of the beads strictly between them.  The empty shape is the lowest
+    # len(lam) beads.
+    r = len(lam)
+    counts = {sum(1 << (part + r - 1 - i) for i, part in enumerate(lam)): 1}
+    for k in mu:
+        between = (1 << (k - 1)) - 1
+        reached: dict[int, int] = {}
+        for mask, count in counts.items():
+            removable = mask & ~(mask << k) & -(1 << k)  # beads b >= k with b - k free
+            while removable:
+                bit = removable & -removable
+                removable ^= bit
+                left = mask ^ bit ^ (bit >> k)
+                odd = ((mask >> (bit.bit_length() - k)) & between).bit_count() & 1
+                reached[left] = reached.get(left, 0) + (-count if odd else count)
+        counts = reached
+    return counts.get((1 << r) - 1, 0)
 
 
 def reset_mn_memo() -> None:

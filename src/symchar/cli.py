@@ -297,6 +297,8 @@ def _run_check(name: str, fn) -> bool:
     start = time.perf_counter()
     try:
         problems = fn()
+    except MemoryError:  # a resource failure, not a wrong answer: main reports it
+        raise
     except Exception as e:  # a crashed check is a failed check
         problems = [f"raised {type(e).__name__}: {e}"]
     elapsed = time.perf_counter() - start
@@ -315,6 +317,8 @@ def _check_theorem(n: int, args: argparse.Namespace) -> list[str]:
 
 
 def _check_orthogonality(n: int, args: argparse.Namespace) -> list[str]:
+    from operator import mul
+
     from .characters import character_table
     from .partitions import centralizer_order, class_size
 
@@ -322,20 +326,19 @@ def _check_orthogonality(n: int, args: argparse.Namespace) -> list[str]:
     order = table.order
     values = table.values
     sizes = [class_size(mu) for mu in order]
-    problems = []
     group_order = sum(sizes)
-    for a in range(len(order)):
-        for b in range(a, len(order)):
-            row_sum = sum(
-                sizes[c] * values[a][c] * values[b][c] for c in range(len(order))
-            )
-            expected = group_order if a == b else 0
-            if row_sum != expected:
-                problems.append(f"row orthogonality fails at ({order[a]}, {order[b]})")
-            col_sum = sum(values[r][a] * values[r][b] for r in range(len(order)))
-            expected_col = centralizer_order(order[a]) if a == b else 0
-            if col_sum != expected_col:
-                problems.append(f"column orthogonality fails at ({order[a]}, {order[b]})")
+    scaled = [tuple(map(mul, sizes, row)) for row in values]
+    columns = tuple(zip(*values))
+    problems = []
+    for a, (mu, scaled_row, column) in enumerate(zip(order, scaled, columns)):
+        # the first pair is (mu, mu), every later one off the diagonal
+        row_norm, column_norm = group_order, centralizer_order(mu)
+        for nu, row, other in zip(order[a:], values[a:], columns[a:]):
+            if sum(map(mul, scaled_row, row)) != row_norm:
+                problems.append(f"row orthogonality fails at ({mu}, {nu})")
+            if sum(map(mul, column, other)) != column_norm:
+                problems.append(f"column orthogonality fails at ({mu}, {nu})")
+            row_norm = column_norm = 0
     return problems
 
 

@@ -42,8 +42,9 @@ Partition = tuple[int, ...]
 # Largest n that parse_partition accepts.  The partitions the package can do
 # anything with are far smaller (a full table stops at
 # characters.MAX_TABLE_N = 28; `symchar eval --lambda 2,1^1998 --mu 1^2000`
-# takes seconds), and the budget is checked before a "1^k" is expanded, so
-# no text can make the parser build a huge tuple.
+# takes 0.13 s and `--lambda 1000,1000` about 2 s), and the budget is checked
+# before a "1^k" is expanded, so no text can make the parser build a huge
+# tuple.
 MAX_PARTITION_SIZE = 2000
 
 # Largest n for which class_algebra enumerates conjugacy classes by brute
@@ -64,13 +65,15 @@ class DominanceResult(Enum):
 def as_partition(parts: Iterable[int]) -> Partition:
     """Normalize an iterable of positive ints into canonical descending form.
 
-    Raises ValueError if any entry is not a positive integer.
+    Raises ValueError if any entry is not a positive integer.  A tuple that
+    is already canonical comes back as itself, so a memo keyed by the result
+    holds the caller's tuple, not a copy.
     """
     out = tuple(sorted(parts, reverse=True))
     for p in out:
         if not isinstance(p, int) or isinstance(p, bool) or p < 1:
             raise ValueError(f"partition parts must be positive integers, got {p!r}")
-    return out
+    return parts if type(parts) is tuple and parts == out else out
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,7 @@ from symchar import (
     structure_constant_bruteforce,
     two_row_char_recursive,
 )
-from symchar.characters import reset_mn_memo
+from symchar.characters import mn_memo_size, reset_mn_memo
 from symchar.cli import main
 from symchar.formulas import NearHookShape
 
@@ -190,4 +190,17 @@ def test_11_recursions_at_the_size_budget(capsys):
         assert two_row_char_recursive(1000, identity) == comb(2000, 1000) // 1001
         code = main(["eval", "--lambda", "2,1^1998", "--mu", "1^2000", "--method", "recursion"])
         assert (code, capsys.readouterr().out) == (0, "1999\n")
+        assert time.perf_counter() - start < 60
+
+
+def test_12_mn_char_at_the_size_budget(capsys):
+    with criterion("mn_char at n=2000 < 60s"):
+        start = time.perf_counter()
+        reset_mn_memo()
+        identity = (1,) * 2000
+        assert mn_char((2,) + (1,) * 1998, identity) == 1999
+        assert mn_char((1000, 1000), identity) == comb(2000, 1000) // 1001
+        code = main(["eval", "--lambda", "2,1^1998", "--mu", "1^2000"])
+        assert (code, capsys.readouterr().out) == (0, "1999\n")
+        assert mn_memo_size() == 2
         assert time.perf_counter() - start < 60

@@ -126,8 +126,39 @@ def test_border_strip_removals_match_hook_lengths():
 def test_mn_char_base_and_errors():
     assert mn_char((), ()) == 1
     assert mn_char((1,), (1,)) == 1
+    assert mn_char((1, 2), (3,)) == -1  # parts in any order, like (2, 1)
     with pytest.raises(ValueError):
         mn_char((2,), (1,))
+    with pytest.raises(ValueError):
+        mn_char((2, -1, 2), (3,))
+
+
+def test_mn_char_peels_its_first_part_like_border_strip_removals():
+    # the Murnaghan-Nakayama identity on the first part of mu ties the
+    # sweep's bead arithmetic to the beta-list removals
+    for n in range(1, 11):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                peeled = sum(
+                    r.sign * mn_char(r.remaining, mu[1:]) for r in border_strip_removals(lam, mu[0])
+                )
+                assert mn_char(lam, mu) == peeled, (lam, mu)
+
+
+def test_mn_char_needs_no_table_build_and_no_border_strip_removals(monkeypatch):
+    import symchar.characters as characters_module
+
+    table = character_table(8)
+    for name in ("_level", "_strip_matrix", "_table_values", "border_strip_removals"):
+
+        def refuse(*args, name=name):
+            raise AssertionError(f"mn_char called {name}")
+
+        monkeypatch.setattr(characters_module, name, refuse)
+    reset_mn_memo()
+    for lam in table.order:
+        for mu in table.order:
+            assert mn_char(lam, mu) == table.value(lam, mu), (lam, mu)
 
 
 def test_s3_table_matches_oracle_and_frozen_values():
@@ -247,10 +278,10 @@ def test_memo_reuse_and_reset():
     reset_mn_memo()
     assert mn_memo_size() == 0
     mn_char((4, 2), (2, 2, 1, 1))
-    grown = mn_memo_size()
-    assert grown > 0
+    assert mn_memo_size() == 1  # one entry per distinct call, none per sub-state
     mn_char((4, 2), (2, 2, 1, 1))
-    assert mn_memo_size() == grown  # second call is pure lookup
+    mn_char((2, 4), (1, 2, 1, 2))
+    assert mn_memo_size() == 1  # repeats, in any part order, are pure lookups
     reset_mn_memo()
     assert mn_memo_size() == 0
 

@@ -711,6 +711,21 @@ def test_verify_reports_a_wrong_route(cache, capsys, monkeypatch, route, wrong_a
     assert _verify_lines(capsys.readouterr().out) == [f"FAIL {suite} n={n}", f"     {problem}"]
 
 
+def test_verify_reports_running_out_of_memory_as_an_error(cache, capsys, monkeypatch):
+    # a resource failure is no wrong answer: no FAIL line, one error line
+    import symchar.formulas as formulas_module
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(formulas_module, "near_hook_value", out_of_memory)
+    argv = ["--cache-dir", cache, "verify", "--suite", "formulas", "--n-min", "5", "--n-max", "5"]
+    assert main(argv) == EXIT_VERIFY_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: unexpected MemoryError()"]
+
+
 def test_table_commands_refuse_past_the_table_limit(cache, capsys, monkeypatch):
     import symchar.characters as characters_module
 

@@ -256,6 +256,8 @@ def test_format_partition():
 
 def test_as_partition():
     assert as_partition([1, 3, 2]) == (3, 2, 1)
+    canonical = (3, 2, 1)
+    assert as_partition(canonical) is canonical  # a memo keyed by it holds no copy
     with pytest.raises(ValueError):
         as_partition([3, 0])
     with pytest.raises(ValueError):
