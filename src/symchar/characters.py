@@ -36,11 +36,9 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice, pairwise
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .partitions import Partition, as_partition, iter_partitions, partitions_of
 
@@ -77,8 +75,7 @@ SCHEMA_VERSION = 2
 MAX_TABLE_N = 28
 
 
-@dataclass(frozen=True)
-class RimHookRemoval:
+class RimHookRemoval(NamedTuple):
     """One way to strip a border strip (rim hook) from a Young diagram.
 
     remaining: the partition left after removal (canonical descending form).
@@ -211,8 +208,7 @@ def degree(lam: Partition) -> int:
     return mn_char(lam, (1,) * sum(lam))
 
 
-@dataclass(frozen=True)
-class CharTable:
+class CharTable(NamedTuple):
     """Full character table of S_n with exact integer entries.
 
     order holds the canonical partition sequence from partitions_of(n); it
@@ -224,10 +220,6 @@ class CharTable:
     order: tuple[Partition, ...]
     values: tuple[tuple[int, ...], ...]
 
-    @cached_property
-    def _index(self) -> dict[Partition, int]:
-        return {p: i for i, p in enumerate(self.order)}
-
     @property
     def row_text(self) -> tuple[str, ...]:
         """One line per row of values: its decimal strings joined by commas."""
@@ -235,9 +227,11 @@ class CharTable:
         return tuple(map(line.__mod__, self.values))
 
     def index(self, p: Partition) -> int:
+        """Position of the label p in order; its parts may come in any order."""
+        key = as_partition(p)  # refuses a part that is not a positive int
         try:
-            return self._index[tuple(p)]
-        except KeyError:
+            return self.order.index(key)
+        except ValueError:
             raise ValueError(f"{p} is not a partition of {self.n}") from None
 
     def value(self, lam: Partition, mu: Partition) -> int:

@@ -109,14 +109,14 @@ def _class_members(mu: Partition) -> tuple[Perm, ...]:
     # mu is in descending order.  The cycle through the smallest unplaced
     # point is placed next, written from that point; its other points come
     # from itertools.permutations.  A permutation fixes each such choice
-    # uniquely, so each member of C_mu is built exactly once.
+    # uniquely, so each member of C_mu is built exactly once.  images is the
+    # identity on every point no cycle is placed on, so once only parts of 1
+    # are left it is a member as it stands.
     images = list(range(sum(mu)))
     members: list[Perm] = []
 
     def place(free: tuple[int, ...], parts: tuple[int, ...]) -> None:
         if not parts or parts[0] == 1:  # only fixed points are left
-            for t in free:
-                images[t] = t
             members.append(tuple(images))
             return
         first, others = free[0], free[1:]
@@ -124,14 +124,21 @@ def _class_members(mu: Partition) -> tuple[Perm, ...]:
             if i and parts[i - 1] == length:
                 continue  # equal parts give the same cycles
             rest_parts = parts[:i] + parts[i + 1 :]
+            last = not rest_parts or rest_parts[0] == 1
             for tail in itertools.permutations(others, length - 1):
                 point = first
                 for nxt in tail:
                     images[point] = nxt
                     point = nxt
                 images[point] = first
-                placed = set(tail)
-                place(tuple(t for t in others if t not in placed), rest_parts)
+                if last:
+                    members.append(tuple(images))
+                else:
+                    placed = set(tail)
+                    place(tuple(t for t in others if t not in placed), rest_parts)
+                for t in tail:
+                    images[t] = t
+        images[first] = first
 
     place(tuple(images), tuple(mu))
     return tuple(members)
@@ -158,7 +165,7 @@ def structure_constant(mu: Partition, nu: Partition, gamma: Partition, table: Ch
     n = table.n
     if sum(mu) != n or sum(nu) != n or sum(gamma) != n:
         raise ValueError(f"classes must all partition {n}: {mu}, {nu}, {gamma}")
-    i_mu, i_nu, i_g = table.index(tuple(mu)), table.index(tuple(nu)), table.index(tuple(gamma))
+    i_mu, i_nu, i_g = table.index(mu), table.index(nu), table.index(gamma)
     group_order = math.factorial(n)
     total = 0
     for row in table.values:
@@ -239,15 +246,26 @@ def _count_products(members: tuple[Perm, ...], g: Perm, target: Partition) -> in
     smallest point, against a count of the parts of target per length.  A w
     is dropped at the first cycle whose length has no part left, and counted
     only when every cycle has used up one part: since the lengths add up to
-    n = sum(target), all parts are then used, each exactly once.
+    n = sum(target), all parts are then used, each exactly once.  The cycle
+    through 0 is checked first, before anything is allocated, as most
+    members fail there; a member that passes walks it again.
     """
     n = len(g)
+    if not n:
+        return len(members)  # the empty permutation, whose product has type ()
     parts_left = [0] * (n + 1)
     for part in target:
         parts_left[part] += 1
     points = range(n)
     count = 0
     for w in members:
+        t = w[g[0]]
+        length = 1
+        while t:
+            t = w[g[t]]
+            length += 1
+        if not parts_left[length]:
+            continue
         left = parts_left.copy()
         seen = [False] * n
         for start in points:
@@ -287,7 +305,7 @@ def predicted_coefficient(
     n = table.n
     if sum(mu) != n or sum(nu) != n or sum(gamma) != n:
         raise ValueError(f"classes must all partition {n}: {mu}, {nu}, {gamma}")
-    if not covers_all_nonlinear(tuple(mu), tuple(nu), table):
+    if not covers_all_nonlinear(mu, nu, table):
         return None
     if sign_value(gamma) == 1:
         return 0

@@ -9,7 +9,7 @@ which verify_main_theorem checks and reports on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characters import CharTable
 from .partitions import Partition
@@ -27,8 +27,7 @@ __all__ = [
 Pair = tuple[Partition, Partition]
 
 
-@dataclass(frozen=True)
-class CoveringPairReport:
+class CoveringPairReport(NamedTuple):
     """Outcome of a covering-pair search over all classes of S_n.
 
     pairs lists each covering pair once, (mu, nu) with mu at or before nu in
@@ -50,8 +49,7 @@ class CoveringPairReport:
         return tuple((mu, nu) for mu, nu in self.pairs if mu == nu)
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     """Comparison of the computed covering pairs against {(n), (n-1,1)}."""
 
     n: int
@@ -94,14 +92,14 @@ def _nonlinear_rows(table: CharTable) -> list[int]:
 
 def vanishing_set(lam: Partition, table: CharTable) -> frozenset[Partition]:
     """All classes mu with chi_lam(w_mu) = 0."""
-    row = table.values[table.index(tuple(lam))]
+    row = table.values[table.index(lam)]
     return frozenset(mu for mu, value in zip(table.order, row) if value == 0)
 
 
 def covers_all_nonlinear(mu: Partition, nu: Partition, table: CharTable) -> bool:
     """True when every non-linear character vanishes on mu or on nu."""
-    i_mu = table.index(tuple(mu))
-    i_nu = table.index(tuple(nu))
+    i_mu = table.index(mu)
+    i_nu = table.index(nu)
     for i in _nonlinear_rows(table):
         row = table.values[i]
         if row[i_mu] != 0 and row[i_nu] != 0:

@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -81,12 +80,22 @@ def test_structure_constant_examples(table_for):
     assert structure_constant((2, 1), (2, 1), (1, 1, 1), t3) == 3
     t4 = table_for(4)
     assert structure_constant((2, 1, 1), (2, 1, 1), (1, 1, 1, 1), t4) == 6
+    # the parts of a class may come in any order, as in the brute force
+    assert structure_constant((1, 2), (2, 1), (1, 1, 1), t3) == 3
+    assert structure_constant((1, 1, 2), (1, 2, 1), (1, 1, 1, 1), t4) == 6
+    assert structure_constant((1, 3), (2, 2), (1, 3), t4) == structure_constant(
+        (3, 1), (2, 2), (3, 1), t4
+    )
+    t7 = table_for(7)
+    assert predicted_coefficient((1, 6), (7,), (1, 2, 1, 1, 1, 1), t7) == (
+        predicted_coefficient((6, 1), (7,), (2, 1, 1, 1, 1, 1), t7)
+    )
 
 
 def _doctored(table, i, j, value):
     values = [list(row) for row in table.values]
     values[i][j] = value
-    return replace(table, values=tuple(map(tuple, values)))
+    return table._replace(values=tuple(map(tuple, values)))
 
 
 def test_structure_constant_rejects_an_inconsistent_table(table_for):
@@ -151,6 +160,9 @@ def test_bruteforce_matches_character_formula_exhaustively(table_for):
                     assert structure_constant(mu, nu, gamma, t) == (
                         structure_constant_bruteforce(mu, nu, gamma)
                     ), (mu, nu, gamma)
+    # S_0 is the one empty permutation, its own class and product
+    assert conjugacy_class(()) == ((),)
+    assert structure_constant_bruteforce((), (), ()) == 1
 
 
 def test_bruteforce_symmetric_in_mu_nu():

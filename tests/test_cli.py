@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -277,15 +276,19 @@ def test_package_entry_point_runs_the_command(cache, tmp_path):
 # --- start-up: each request imports only the modules its command uses ------
 
 # Runs main(argv) in the interpreter, then prints, as its last line, the
-# exit code, the loaded symchar.* modules and whether hashlib is loaded.
+# exit code, the loaded symchar.* modules, whether hashlib is loaded, and
+# whether the import of symchar.cli and main loaded dataclasses.
 _FOOTPRINT = """
 import json, sys
+had_dataclasses = "dataclasses" in sys.modules
 from symchar.cli import main
 try:
     code = main(sys.argv[1:])
 except SystemExit as e:  # --help
     code = e.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("symchar.")), "hashlib" in sys.modules]))
+added_dataclasses = "dataclasses" in sys.modules and not had_dataclasses
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("symchar.")), "hashlib" in sys.modules,
+                  added_dataclasses]))
 """
 
 _FORMULAS = ["symchar.cli", "symchar.formulas", "symchar.partitions"]
@@ -319,9 +322,10 @@ _TABLE = ["symchar.characters", "symchar.cli", "symchar.partitions"]
 )
 def test_request_imports_only_its_modules(cache, tmp_path, argv, modules):
     done = _run_python(["-c", _FOOTPRINT, "--cache-dir", cache, *argv], tmp_path)
-    code, loaded, hashlib_loaded = json.loads(done.stdout.splitlines()[-1])
+    code, loaded, hashlib_loaded, added_dataclasses = json.loads(done.stdout.splitlines()[-1])
     assert code == EXIT_OK, done.stderr
     assert loaded == modules
+    assert not added_dataclasses  # it imports inspect: 10-15 ms of start-up
     if argv[0] in ("--help", "eval"):
         assert not hashlib_loaded
 
@@ -540,7 +544,7 @@ def test_structure_constant_on_an_inconsistent_cached_table_fails_the_check(cach
     # degree 4 does not divide 3!, so the character sum refuses it
     table = character_table(3)
     values = (table.values[0], (-1, 0, 4), table.values[2])
-    save_table(replace(table, values=values), table_cache_path(cache, 3))
+    save_table(table._replace(values=values), table_cache_path(cache, 3))
     argv = ["--cache-dir", cache, "structure-constant", "--mu", "3", "--nu", "3", "--gamma", "3"]
     assert main(argv) == EXIT_VERIFY_FAILED
     captured = capsys.readouterr()
@@ -658,7 +662,7 @@ def test_verify_reports_every_check_a_damaged_table_fails(cache, capsys):
     table = character_table(7)
     values = [list(row) for row in table.values]
     values[table.index((6, 1))][table.index((7,))] = 0
-    save_table(replace(table, values=tuple(map(tuple, values))), table_cache_path(cache, 7))
+    save_table(table._replace(values=tuple(map(tuple, values))), table_cache_path(cache, 7))
     code = main(["--cache-dir", cache, "verify", "--suite", "all", "--n-min", "7", "--n-max", "7"])
     assert code == EXIT_VERIFY_FAILED
     # the other classes on which chi_(6,1) is non-zero, and the hook rows below (7)

@@ -26,6 +26,7 @@ def test_vanishing_set_examples(table_for):
     assert vanishing_set((2, 2), t4) == {(4,), (2, 1, 1)}
     assert vanishing_set((3, 1), t4) == {(3, 1)}
     assert vanishing_set((2, 1, 1), t4) == {(3, 1)}
+    assert vanishing_set((1, 3), t4) == {(3, 1)}  # parts in any order
 
 
 def test_vanishing_set_rejects_unknown_row(table_for):
@@ -45,6 +46,7 @@ def test_every_nonlinear_character_vanishes_somewhere(table_for):
 def test_covers_all_nonlinear_known_cases(table_for):
     t7 = table_for(7)
     assert covers_all_nonlinear((7,), (6, 1), t7)
+    assert covers_all_nonlinear((7,), (1, 6), t7)  # parts in any order
     assert not covers_all_nonlinear((7,), (5, 2), t7)
     # the witness row behind that failure: (6,1) misses both classes
     assert mn_char((6, 1), (7,)) == -1
