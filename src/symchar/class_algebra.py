@@ -9,6 +9,14 @@ member without sweeping S_n, and walking the cycles of one product per
 member only until the first cycle that the wanted cycle type has no room
 for.  The two never share code, so each checks the other.
 
+A class is enumerated once per process and kept as one bytes object: its
+members one after another, n bytes each, byte k of a member being its image
+of k.  One bytes.translate forms the product of g with every member of a
+class, and each product is walked as a tuple of ints.  An image takes one
+byte, so enumeration stops at 256 points with BruteForceLimitError, raised
+before any member is built.  conjugacy_class decodes the bytes into tuples
+on each call.
+
 Permutations are tuples of images on {0, ..., n-1}; composition is
 (a * b)(t) = a[b[t]].  Cycle types are label-independent, so the 0-based
 convention does not affect any count.
@@ -49,6 +57,8 @@ __all__ = [
 ]
 
 Perm = tuple[int, ...]
+
+_MAX_POINTS = 256  # a class is stored with one byte per image
 
 
 class BruteForceLimitError(ValueError):
@@ -105,19 +115,26 @@ def class_representative(gamma: Partition) -> Perm:
 
 
 @lru_cache(maxsize=None)
-def _class_members(mu: Partition) -> tuple[Perm, ...]:
-    # mu is in descending order.  The cycle through the smallest unplaced
+def _class_members(mu: Partition) -> bytes:
+    # The members of C_mu, n bytes each: byte k of a member is its image of
+    # k.  mu is in descending order.  The cycle through the smallest unplaced
     # point is placed next, written from that point; its other points come
     # from itertools.permutations.  A permutation fixes each such choice
     # uniquely, so each member of C_mu is built exactly once.  images is the
     # identity on every point no cycle is placed on, so once only parts of 1
     # are left it is a member as it stands.
-    images = list(range(sum(mu)))
-    members: list[Perm] = []
+    n = sum(mu)
+    if n > _MAX_POINTS:
+        raise BruteForceLimitError(
+            f"class enumeration at n={n} exceeds {_MAX_POINTS} points, "
+            "as each image is stored in one byte"
+        )
+    images = bytearray(range(n))
+    members = bytearray()
 
     def place(free: tuple[int, ...], parts: tuple[int, ...]) -> None:
         if not parts or parts[0] == 1:  # only fixed points are left
-            members.append(tuple(images))
+            members.extend(images)
             return
         first, others = free[0], free[1:]
         for i, length in enumerate(parts):
@@ -132,7 +149,7 @@ def _class_members(mu: Partition) -> tuple[Perm, ...]:
                     point = nxt
                 images[point] = first
                 if last:
-                    members.append(tuple(images))
+                    members.extend(images)
                 else:
                     placed = set(tail)
                     place(tuple(t for t in others if t not in placed), rest_parts)
@@ -141,15 +158,24 @@ def _class_members(mu: Partition) -> tuple[Perm, ...]:
         images[first] = first
 
     place(tuple(images), tuple(mu))
-    return tuple(members)
+    # place refers to itself, and that cycle would keep members' buffer, as
+    # large as the class, alive until a full garbage collection
+    del place
+    return bytes(members)
 
 
 def conjugacy_class(mu: Partition, *, limit: int = BRUTE_FORCE_DEFAULT_LIMIT) -> tuple[Perm, ...]:
-    """All permutations of cycle type mu, each once; the cost is |C_mu|, hence the limit."""
+    """All permutations of cycle type mu, each once; the cost is |C_mu|, hence the limit.
+
+    The tuples are decoded from the class's bytes on each call, in the order
+    the members were built.
+    """
     n = sum(mu)
     if n > limit:
         raise BruteForceLimitError(f"class enumeration at n={n} exceeds limit {limit}")
-    return _class_members(as_partition(mu))
+    if not n:
+        return ((),)  # S_0 is the one empty permutation
+    return tuple(zip(*[iter(_class_members(as_partition(mu)))] * n))
 
 
 def structure_constant(mu: Partition, nu: Partition, gamma: Partition, table: CharTable) -> int:
@@ -199,12 +225,13 @@ def structure_constant_bruteforce(
     one-to-one to those of y*x' = g), so mu and nu are swapped when C_nu is
     the smaller class.  Then the smaller of C_mu and C_gamma is enumerated,
     one cycle walk per member, so the cost is min(|C_mu|, |C_nu|, |C_gamma|)
-    walks, refused beyond `limit`:
+    walks, refused beyond `limit` and beyond 256 points:
 
     - C_mu, for g = `representative` (any member of C_gamma must give the
       same count) or class_representative(gamma): w = x^{-1} runs over C_mu,
-      which is closed under inversion, and w is counted when w * g has cycle
-      type nu.  class_size only picks this route.
+      which is closed under inversion, and w is counted when g * w, a
+      conjugate of w * g, has cycle type nu.  class_size only picks this
+      route.
     - C_gamma, when no representative is passed and |C_gamma| < |C_mu|.
       Summing the count over all g in C_gamma, and using that it is the same
       for every x in C_mu, gives
@@ -223,46 +250,51 @@ def structure_constant_bruteforce(
     if class_size(nu) < class_size(mu):
         mu, nu = nu, mu
     if representative is None and class_size(gamma) < class_size(mu):
-        members = conjugacy_class(gamma, limit=limit)
-        # x0^{-1} z is conjugate to z x0^{-1}, the product _count_products walks
+        members = _class_members(gamma)
+        size = len(members) // n  # n > 0: at n = 0 every class has size 1
+        # _count_products walks g * z = x0^{-1} z for each z in C_gamma
         hits = _count_products(members, inverse(class_representative(mu)), nu)
-        count, rem = divmod(class_size(mu) * hits, len(members))
+        count, rem = divmod(class_size(mu) * hits, size)
         if rem:
             raise RuntimeError(
-                f"|C_mu| * {hits} is not a multiple of |C_gamma| = {len(members)} "
+                f"|C_mu| * {hits} is not a multiple of |C_gamma| = {size} "
                 f"for ({mu}, {nu}, {gamma}); the class enumeration is inconsistent"
             )
         return count
     g = class_representative(gamma) if representative is None else tuple(representative)
     if cycle_type(g) != gamma:
         raise ValueError(f"representative {g} is not a permutation of cycle type {gamma}")
-    return _count_products(conjugacy_class(mu, limit=limit), g, nu)
+    return _count_products(_class_members(mu), g, nu)
 
 
-def _count_products(members: tuple[Perm, ...], g: Perm, target: Partition) -> int:
-    """Number of w in members for which w * g has cycle type target.
+def _count_products(members: bytes, g: Perm, target: Partition) -> int:
+    """Number of members w for which g * w has cycle type target.
 
-    The cycles of w * g are followed in place (t -> w[g[t]]), each from its
-    smallest point, against a count of the parts of target per length.  A w
-    is dropped at the first cycle whose length has no part left, and counted
-    only when every cycle has used up one part: since the lengths add up to
+    members holds n = len(g) bytes per member, as _class_members returns
+    them.  One bytes.translate forms g * w for every member at once; g * w is
+    conjugate to w * g, so either has the cycle type that counts.  The cycles
+    of each product p are followed (t -> p[t]), each from its smallest point,
+    against a count of the parts of target per length.  A product is dropped
+    at the first cycle whose length has no part left, and counted only when
+    every cycle has used up one part: since the lengths add up to
     n = sum(target), all parts are then used, each exactly once.  The cycle
     through 0 is checked first, before anything is allocated, as most
-    members fail there; a member that passes walks it again.
+    products fail there; a product that passes walks it again.
     """
     n = len(g)
     if not n:
-        return len(members)  # the empty permutation, whose product has type ()
+        return 1  # S_0: the empty permutation alone, whose product has type ()
+    products = members.translate(bytes(g) + bytes(range(n, 256)))
     parts_left = [0] * (n + 1)
     for part in target:
         parts_left[part] += 1
     points = range(n)
     count = 0
-    for w in members:
-        t = w[g[0]]
+    for p in zip(*[iter(products)] * n):
+        t = p[0]
         length = 1
         while t:
-            t = w[g[t]]
+            t = p[t]
             length += 1
         if not parts_left[length]:
             continue
@@ -271,11 +303,11 @@ def _count_products(members: tuple[Perm, ...], g: Perm, target: Partition) -> in
         for start in points:
             if seen[start]:
                 continue
-            t = w[g[start]]
+            t = p[start]
             length = 1
             while t != start:
                 seen[t] = True
-                t = w[g[t]]
+                t = p[t]
                 length += 1
             if not left[length]:
                 break

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import itertools
 import math
 
@@ -18,7 +20,7 @@ from symchar import (
     structure_constant,
     structure_constant_bruteforce,
 )
-from symchar.class_algebra import compose, inverse
+from symchar.class_algebra import _class_members, compose, inverse
 
 
 def test_cycle_type_basics():
@@ -64,6 +66,34 @@ def test_conjugacy_class_sizes():
     for n in (8, 9):
         for mu in partitions_of(n):
             assert len(conjugacy_class(mu, limit=9)) == class_size(mu), mu
+            # kept as one bytes object, one byte per image
+            members = _class_members(mu)
+            assert type(members) is bytes and len(members) == n * class_size(mu), mu
+
+
+def test_class_enumeration_leaves_no_cyclic_garbage():
+    # the buffer the members are built in is freed as the enumeration
+    # returns, not at some later full collection
+    gc.collect()
+    gc.disable()
+    try:
+        _class_members.__wrapped__((3, 2, 1))  # past the cache
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_conjugacy_class_member_order():
+    # every member of every class of S_n, n <= 8, in the order built; the
+    # digest was taken when the classes were still tuples of tuples
+    digest = hashlib.sha256()
+    for n in range(9):
+        for mu in partitions_of(n):
+            for x in conjugacy_class(mu):
+                digest.update(bytes(x))
+    assert digest.hexdigest() == (
+        "b1da3b55fe0b30fd18f4a03f570f11b6457586d4628aa2a51de0afa435ec315e"
+    )
 
 
 def test_conjugacy_class_limit():
@@ -71,6 +101,22 @@ def test_conjugacy_class_limit():
         conjugacy_class((9,), limit=8)
     with pytest.raises(BruteForceLimitError):
         conjugacy_class((4,), limit=3)
+
+
+def test_class_enumeration_stops_at_256_points(monkeypatch):
+    # an image is one byte, so past 256 points no member is built: the
+    # refusal names the width instead of letting a bytes error escape
+    import symchar.class_algebra as class_algebra
+
+    # an enumeration that started would fail at once instead of running on
+    monkeypatch.setattr(class_algebra, "itertools", None)
+    for call in (
+        lambda: conjugacy_class((257,), limit=300),
+        lambda: structure_constant_bruteforce((257,), (257,), (257,), limit=300),  # over C_mu
+        lambda: structure_constant_bruteforce((257,), (257,), (1,) * 257, limit=300),  # over C_gamma
+    ):
+        with pytest.raises(BruteForceLimitError, match="256 points.*one byte"):
+            call()
 
 
 def test_structure_constant_examples(table_for):
@@ -253,8 +299,8 @@ def test_bruteforce_over_gamma_checks_the_division(monkeypatch):
     # of C_(3,1,1) leaves a remainder, which must not be rounded away
     import symchar.class_algebra as class_algebra
 
-    full = class_algebra.conjugacy_class
-    monkeypatch.setattr(class_algebra, "conjugacy_class", lambda mu, **kw: full(mu, **kw)[:-1])
+    full = class_algebra._class_members
+    monkeypatch.setattr(class_algebra, "_class_members", lambda mu: full(mu)[: -sum(mu)])
     with pytest.raises(RuntimeError, match="not a multiple"):
         structure_constant_bruteforce((5,), (5,), (3, 1, 1))
 

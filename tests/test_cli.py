@@ -525,6 +525,20 @@ def test_structure_constant_verify_respects_limit(cache, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_structure_constant_verify_stops_at_256_points(cache, capsys):
+    # within the limit, but an image of 257 points does not fit in a byte:
+    # refused before any member of the 256!-member class is built
+    argv = [
+        "--cache-dir", cache, "--brute-force-limit", "300",
+        "structure-constant", "--mu", "257", "--nu", "257", "--gamma", "257", "--verify",
+    ]
+    assert main(argv) == EXIT_BRUTE_FORCE_LIMIT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "256 points" in captured.err
+
+
 def test_structure_constant_mismatch_exit_code(cache, capsys, monkeypatch):
     # the CLI imports the function from class_algebra when the command runs
     import symchar.class_algebra as class_algebra_module
