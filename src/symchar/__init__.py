@@ -25,7 +25,6 @@ _EXPORTS = {
         "border_strip_removals",
         "character_table",
         "degree",
-        "hook_length",
         "load_table",
         "mn_char",
         "save_table",
@@ -50,12 +49,10 @@ _EXPORTS = {
         "two_row_char_recursive",
     ),
     "partitions": (
-        "DominanceResult",
         "Partition",
         "centralizer_order",
         "class_size",
         "conjugate",
-        "dominance_compare",
         "format_partition",
         "is_hook",
         "merge_parts",

@@ -48,7 +48,6 @@ __all__ = [
     "CharTableCacheError",
     "MAX_TABLE_N",
     "SCHEMA_VERSION",
-    "hook_length",
     "border_strip_removals",
     "mn_char",
     "degree",
@@ -86,19 +85,6 @@ class RimHookRemoval(NamedTuple):
     remaining: Partition
     height: int
     sign: int
-
-
-def hook_length(p: Partition, row: int, col: int) -> int:
-    """Hook length of the cell (row, col) of p, both 1-based.
-
-    arm + leg + 1, where the arm counts cells to the right in the same row
-    and the leg counts cells below in the same column.
-    """
-    if not (1 <= row <= len(p)) or not (1 <= col <= p[row - 1]):
-        raise ValueError(f"cell ({row}, {col}) outside partition {p}")
-    arm = p[row - 1] - col
-    leg = sum(1 for i in range(row, len(p)) if p[i] >= col)
-    return arm + leg + 1
 
 
 def _beta_set(p: Partition) -> list[int]:
@@ -209,16 +195,20 @@ def degree(lam: Partition) -> int:
 
 
 class CharTable(NamedTuple):
-    """Full character table of S_n with exact integer entries.
+    """Full character table of S_n with exact integer entries: (n, values).
 
-    order holds the canonical partition sequence from partitions_of(n); it
-    indexes both rows (characters) and columns (classes), so values[0] is the
-    trivial character (all ones) and the last row is the sign character.
+    order, partitions_of(n), is derived from n and never stored; it indexes
+    both rows (characters) and columns (classes), so values[0] is the trivial
+    character (all ones) and the last row is the sign character.
     """
 
     n: int
-    order: tuple[Partition, ...]
     values: tuple[tuple[int, ...], ...]
+
+    @property
+    def order(self) -> tuple[Partition, ...]:
+        """The canonical partitions of n, labels of both rows and columns."""
+        return partitions_of(self.n)
 
     @property
     def row_text(self) -> tuple[str, ...]:
@@ -389,8 +379,7 @@ def character_table(n: int, *, cache_dir: str | Path | None = None) -> CharTable
                 raise CharTableCacheError(f"cache file {path} holds n={table.n}, not n={n}")
             return table
 
-    order = partitions_of(n)
-    table = CharTable(n=n, order=order, values=_table_values(n))
+    table = CharTable(n=n, values=_table_values(n))
     if path is not None:
         save_table(table, path)
     return table
@@ -453,15 +442,13 @@ def save_table(table: CharTable, path: str | Path) -> None:
     """Write table to path as a cache file, atomically.
 
     The rows are packed with struct, and ValueError refuses a table that the
-    file cannot hold (n past 1..MAX_TABLE_N, an order that is not canonical,
-    a value outside [-2^63, 2^63)) before any file is made.
+    file cannot hold (n past 1..MAX_TABLE_N, a value outside [-2^63, 2^63))
+    before any file is made.
     """
     path = Path(path)
     n = table.n
     if not 1 <= n <= MAX_TABLE_N:
         raise ValueError(f"a cache file holds a table of S_1 .. S_{MAX_TABLE_N}, not S_{n}")
-    if table.order != partitions_of(n):
-        raise ValueError(f"the order of the table of S_{n} is not canonical")
     body = _pack_values(table)
     header = _HEADER.pack(_CACHE_TAG, _CACHE_VERSION, n)
     digest = _sha256(header)
@@ -487,8 +474,8 @@ def load_table(path: str | Path) -> CharTable:
         # checked before the partitions of n are listed: n = 200 would be a hang
         if not 1 <= n <= MAX_TABLE_N:
             raise CharTableCacheError(f"cache file {path}: n={n} is outside 1..{MAX_TABLE_N}")
-        order = partitions_of(n)
-        size = 8 * len(order) ** 2
+        width = len(partitions_of(n))
+        size = 8 * width**2
         body = f.read(size)
         digest = f.read(_DIGEST_SIZE + 1)
         if len(body) != size or len(digest) != _DIGEST_SIZE:
@@ -503,7 +490,7 @@ def load_table(path: str | Path) -> CharTable:
         raise CharTableCacheError(
             f"cache file {path}: sha256 does not match its contents (edited or damaged)"
         )
-    return CharTable(n=n, order=order, values=tuple(_row_struct(len(order)).iter_unpack(body)))
+    return CharTable(n=n, values=tuple(_row_struct(width).iter_unpack(body)))
 
 
 def write_atomic(path: str | Path, *chunks: str | bytes) -> None:
@@ -632,6 +619,6 @@ def table_from_json(text: str | bytes) -> CharTable:
             raise CharTableCacheError(
                 "table JSON: sha256 does not match its contents (edited or damaged)"
             )
-        return CharTable(n=n, order=order, values=tuple(values))
+        return CharTable(n=n, values=tuple(values))
     except (TypeError, ValueError) as e:
         raise CharTableCacheError(f"table JSON is malformed: {e}") from None

@@ -8,8 +8,8 @@ Exit codes: 0 success, 1 verification mismatch or failed checks, 2 invalid
 input (including a table past characters.MAX_TABLE_N), 3 I/O failure, 4
 brute-force verification requested beyond the configured limit.
 
-An exception that no documented case covers (KeyError, TypeError,
-IndexError, MemoryError) is a fault in symchar: exit 1 with one error line.
+Any other Exception a command raises (a KeyError, an ArithmeticError, a
+MemoryError, ...) is a fault in symchar: exit 1 with one error line.
 
 JSON output renders every integer as a decimal string so arbitrarily large
 character values survive consumers that parse numbers as doubles.  The json
@@ -481,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, RuntimeError, ValueError) as e:
         _log(f"error: {e}")
         return _exit_code(e)
-    except (KeyError, TypeError, IndexError, MemoryError) as e:
+    except Exception as e:
         # a fault in symchar, not in the request: one line, never a success
         _log(f"error: unexpected {e!r}")
         return EXIT_VERIFY_FAILED

@@ -14,22 +14,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 __all__ = [
     "Partition",
-    "DominanceResult",
     "as_partition",
     "partitions_of",
     "iter_partitions",
     "multiplicities",
-    "from_multiplicities",
     "centralizer_order",
     "class_size",
     "sign_value",
-    "dominance_compare",
     "is_hook",
     "merge_parts",
     "conjugate",
@@ -51,15 +47,6 @@ MAX_PARTITION_SIZE = 2000
 # force unless told otherwise.  It lives here, beside the other size budget,
 # so that the CLI can show it in --help without loading the class algebra.
 BRUTE_FORCE_DEFAULT_LIMIT = 9
-
-
-class DominanceResult(Enum):
-    """Outcome of comparing two partitions of the same n in dominance order."""
-
-    LESS = "less"
-    GREATER = "greater"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
@@ -112,16 +99,6 @@ def multiplicities(p: Partition) -> dict[int, int]:
     return dict(Counter(p))
 
 
-def from_multiplicities(m: dict[int, int]) -> Partition:
-    """Inverse of multiplicities(): rebuild the canonical descending tuple."""
-    parts: list[int] = []
-    for value, count in m.items():
-        if value < 1 or count < 0:
-            raise ValueError(f"invalid multiplicity entry {value}: {count}")
-        parts.extend([value] * count)
-    return tuple(sorted(parts, reverse=True))
-
-
 def centralizer_order(p: Partition) -> int:
     """Order of the centralizer of a permutation of cycle type p.
 
@@ -142,35 +119,6 @@ def class_size(p: Partition) -> int:
 def sign_value(p: Partition) -> int:
     """Sign of any permutation of cycle type p: (-1)^(n - number of parts)."""
     return 1 if (sum(p) - len(p)) % 2 == 0 else -1
-
-
-def dominance_compare(p: Partition, q: Partition) -> DominanceResult:
-    """Compare partitions of the same n in dominance (majorization) order.
-
-    p dominates q when every prefix sum of p is >= the corresponding prefix
-    sum of q (shorter partition padded with zeros).  Returns GREATER when p
-    strictly dominates q, LESS when q strictly dominates p, EQUAL when they
-    coincide, INCOMPARABLE otherwise.
-    """
-    if sum(p) != sum(q):
-        raise ValueError(f"dominance undefined across sizes: |{p}| != |{q}|")
-    if p == q:
-        return DominanceResult.EQUAL
-    p_ge_q = True
-    q_ge_p = True
-    acc_p = acc_q = 0
-    for i in range(max(len(p), len(q))):
-        acc_p += p[i] if i < len(p) else 0
-        acc_q += q[i] if i < len(q) else 0
-        if acc_p < acc_q:
-            p_ge_q = False
-        elif acc_p > acc_q:
-            q_ge_p = False
-    if p_ge_q:
-        return DominanceResult.GREATER
-    if q_ge_p:
-        return DominanceResult.LESS
-    return DominanceResult.INCOMPARABLE
 
 
 def is_hook(p: Partition) -> bool:

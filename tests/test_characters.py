@@ -22,7 +22,6 @@ from symchar import (
     class_size,
     conjugate,
     degree,
-    hook_length,
     is_hook,
     load_table,
     mn_char,
@@ -61,25 +60,16 @@ S4_TABLE = [
 ]
 
 
-def test_hook_length_examples():
-    assert hook_length((3, 2), 1, 1) == 4
-    assert hook_length((2, 2), 2, 2) == 1
-    assert hook_length((4, 2, 1), 1, 1) == 6
-    with pytest.raises(ValueError):
-        hook_length((3, 2), 2, 3)
-    with pytest.raises(ValueError):
-        hook_length((3, 2), 3, 1)
-
-
 def test_hook_length_multiset_gives_degree():
     # n! divided by the product of all hook lengths is the degree; this ties
-    # hook_length to mn_char through two unrelated computations.
+    # the hook lengths to mn_char through two unrelated computations.
     for n in range(1, 9):
         for p in partitions_of(n):
             prod = 1
-            for r in range(1, len(p) + 1):
-                for c in range(1, p[r - 1] + 1):
-                    prod *= hook_length(p, r, c)
+            # the hook of cell (r, c), 0-based: its arm, its leg and itself
+            for r in range(len(p)):
+                for c in range(p[r]):
+                    prod *= p[r] - c + sum(1 for below in p[r + 1 :] if below > c)
             assert math.factorial(n) // prod == degree(p)
 
 
@@ -108,13 +98,14 @@ def test_border_strip_removals_match_hook_lengths():
     # one removal per cell whose hook length equals the strip length
     for n in range(1, 10):
         for p in partitions_of(n):
+            # the hook of cell (r, c), 0-based: its arm, its leg and itself
+            hooks = [
+                p[r] - c + sum(1 for below in p[r + 1 :] if below > c)
+                for r in range(len(p))
+                for c in range(p[r])
+            ]
             for length in range(1, n + 1):
-                cells = sum(
-                    1
-                    for r in range(1, len(p) + 1)
-                    for c in range(1, p[r - 1] + 1)
-                    if hook_length(p, r, c) == length
-                )
+                cells = hooks.count(length)
                 removals = border_strip_removals(p, length)
                 assert len(removals) == cells
                 for rem in removals:
@@ -172,6 +163,16 @@ def test_s3_table_matches_oracle_and_frozen_values():
     assert mn_char((2, 1), (3,)) == -1
     assert mn_char((2, 1), (2, 1)) == 0
     assert mn_char((2, 1), (1, 1, 1)) == 2
+
+
+def test_order_is_derived_from_n(tmp_path):
+    # order is no field, so a built, loaded or decoded table is labelled canonically
+    assert CharTable._fields == ("n", "values")
+    built = character_table(5)
+    save_table(built, tmp_path / "t.bin")
+    for table in (built, load_table(tmp_path / "t.bin"), table_from_json(table_to_json(built))):
+        assert table == built
+        assert table.order is partitions_of(5)
 
 
 def test_s4_table_matches_oracle_and_frozen_values():
@@ -581,10 +582,11 @@ def test_damaged_binary_cache_file_fails_loudly(tmp_path, monkeypatch, damage, m
 @st.composite
 def _tables(draw) -> CharTable:
     # any integers in canonical order: the codec must carry values of every size and sign
-    order = partitions_of(draw(st.integers(1, 6)))
-    row = st.lists(st.integers(), min_size=len(order), max_size=len(order)).map(tuple)
-    values = draw(st.lists(row, min_size=len(order), max_size=len(order)).map(tuple))
-    return CharTable(n=sum(order[0]), order=order, values=values)
+    n = draw(st.integers(1, 6))
+    width = len(partitions_of(n))
+    row = st.lists(st.integers(), min_size=width, max_size=width).map(tuple)
+    values = draw(st.lists(row, min_size=width, max_size=width).map(tuple))
+    return CharTable(n=n, values=values)
 
 
 @settings(deadline=None)
@@ -596,12 +598,12 @@ def test_json_round_trip_property(table):
 @st.composite
 def _int64_tables(draw) -> CharTable:
     # any signed 64-bit values in canonical order: the cache file holds every one
-    order = partitions_of(draw(st.integers(1, 6)))
-    row = st.lists(
-        st.integers(-(1 << 63), (1 << 63) - 1), min_size=len(order), max_size=len(order)
-    ).map(tuple)
-    values = draw(st.lists(row, min_size=len(order), max_size=len(order)).map(tuple))
-    return CharTable(n=sum(order[0]), order=order, values=values)
+    n = draw(st.integers(1, 6))
+    width = len(partitions_of(n))
+    int64 = st.integers(-(1 << 63), (1 << 63) - 1)
+    row = st.lists(int64, min_size=width, max_size=width).map(tuple)
+    values = draw(st.lists(row, min_size=width, max_size=width).map(tuple))
+    return CharTable(n=n, values=values)
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -631,10 +633,9 @@ def test_save_refuses_a_value_past_int64_before_any_file(tmp_path, value):
 def test_save_refuses_a_table_the_file_cannot_hold(tmp_path):
     table = character_table(3)
     for bad, match in [
-        (table._replace(order=tuple(reversed(table.order))), "not canonical"),
         (table._replace(values=table.values[:2]), "needs 3 rows"),
         (table._replace(values=(table.values[0], (1, 1), table.values[2])), "row 1 does not pack"),
-        (CharTable(n=29, order=((29,),), values=((1,),)), "not S_29"),
+        (CharTable(n=29, values=((1,),)), "not S_29"),
     ]:
         with pytest.raises(ValueError, match=match):
             save_table(bad, tmp_path / "t.bin")

@@ -71,7 +71,7 @@ def test_chartable_pretty_matches_the_format_string_layout(cache, capsys, table_
     ids=["negative-widest", "label-widest"],
 )
 def test_chartable_pretty_column_widths(values):
-    table = CharTable(n=3, order=((3,), (2, 1), (1, 1, 1)), values=values)
+    table = CharTable(n=3, values=values)
     assert _render_table_pretty(table) == pretty_table_oracle(table.order, table.values)
 
 
@@ -367,6 +367,17 @@ def test_package_exports_are_the_submodule_objects():
         owners = [vars(module)[name] for module in modules if name in vars(module)]
         assert owners and all(obj is namespace[name] for obj in owners), name
     assert not hasattr(symchar, "no_such_name")
+
+
+def test_every_submodule_all_resolves():
+    import importlib
+
+    # a name removed from a module but left in its __all__ fails the star import
+    for name in ("characters", "class_algebra", "cli", "formulas", "partitions", "vanishing"):
+        namespace = {}
+        exec(f"from symchar.{name} import *", namespace)
+        module = importlib.import_module(f"symchar.{name}")
+        assert set(namespace) - {"__builtins__"} == set(module.__all__), name
 
 
 def test_chartable_rejects_nonpositive_n():
@@ -795,8 +806,20 @@ def test_verify_refuses_n_max_past_the_size_budget(cache, capsys, monkeypatch):
             "structure_constant",
             ["structure-constant", "--mu", "3", "--nu", "2,1", "--gamma", "2,1"],
         ),
+        (
+            ArithmeticError("a"),
+            "formulas",
+            "near_hook_value",
+            ["eval", "--lambda", "4,1", "--mu", "5", "--method", "formula"],
+        ),
+        (
+            AttributeError("x"),
+            "formulas",
+            "hook_char_recursive",
+            ["eval", "--lambda", "3,1,1", "--mu", "5", "--method", "recursion"],
+        ),
     ],
-    ids=["KeyError", "TypeError", "IndexError", "MemoryError"],
+    ids=["KeyError", "TypeError", "IndexError", "MemoryError", "ArithmeticError", "AttributeError"],
 )
 def test_unexpected_exception_is_one_error_line(cache, capsys, monkeypatch, error, module, function, argv):
     import importlib

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from oracles import partition_count, perm_sign_by_inversions, rep_of_type
 from symchar import (
-    DominanceResult,
     centralizer_order,
     class_size,
     conjugate,
-    dominance_compare,
     format_partition,
     is_hook,
     merge_parts,
@@ -20,7 +18,7 @@ from symchar import (
     partitions_of,
     sign_value,
 )
-from symchar.partitions import MAX_PARTITION_SIZE, as_partition, from_multiplicities
+from symchar.partitions import MAX_PARTITION_SIZE, as_partition
 
 
 def test_canonical_order_small():
@@ -67,7 +65,8 @@ def test_multiplicities_round_trip():
     assert multiplicities(()) == {}
     for n in range(0, 11):
         for p in partitions_of(n):
-            assert from_multiplicities(multiplicities(p)) == p
+            parts = [value for value, count in multiplicities(p).items() for _ in range(count)]
+            assert tuple(sorted(parts, reverse=True)) == p
 
 
 def test_centralizer_and_class_size():
@@ -98,53 +97,6 @@ def test_sign_examples():
     for n in range(2, 10):
         assert sign_value((n,)) == (-1) ** (n - 1)
         assert sign_value((1,) * n) == 1
-
-
-def test_dominance_examples():
-    assert dominance_compare((4, 1, 1), (3, 3)) is DominanceResult.INCOMPARABLE
-    assert dominance_compare((3, 3), (4, 1, 1)) is DominanceResult.INCOMPARABLE
-    assert dominance_compare((4, 2), (3, 3)) is DominanceResult.GREATER
-    assert dominance_compare((3, 3), (4, 2)) is DominanceResult.LESS
-    assert dominance_compare((2, 2), (2, 2)) is DominanceResult.EQUAL
-    assert dominance_compare((6,), (1,) * 6) is DominanceResult.GREATER
-
-
-def test_dominance_size_mismatch_rejected():
-    with pytest.raises(ValueError):
-        dominance_compare((3,), (2, 2))
-
-
-def test_dominance_is_a_partial_order():
-    R = DominanceResult
-    for n in (5, 6):
-        ps = partitions_of(n)
-        rel = {(p, q): dominance_compare(p, q) for p in ps for q in ps}
-        for p in ps:
-            assert rel[(p, p)] is R.EQUAL
-        flipped = {R.LESS: R.GREATER, R.GREATER: R.LESS, R.EQUAL: R.EQUAL,
-                   R.INCOMPARABLE: R.INCOMPARABLE}
-        for (p, q), r in rel.items():
-            assert rel[(q, p)] is flipped[r]
-        for p in ps:  # transitivity
-            for q in ps:
-                if rel[(p, q)] is not R.GREATER:
-                    continue
-                for s in ps:
-                    if rel[(q, s)] is R.GREATER:
-                        assert rel[(p, s)] is R.GREATER, (p, q, s)
-
-
-def test_dominance_reversed_by_conjugation():
-    R = DominanceResult
-    swap = {R.LESS: R.GREATER, R.GREATER: R.LESS, R.EQUAL: R.EQUAL,
-            R.INCOMPARABLE: R.INCOMPARABLE}
-    for n in range(1, 9):
-        ps = partitions_of(n)
-        for p in ps:
-            for q in ps:
-                assert dominance_compare(conjugate(p), conjugate(q)) is swap[
-                    dominance_compare(p, q)
-                ]
 
 
 def test_is_hook():

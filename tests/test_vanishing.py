@@ -115,7 +115,7 @@ def test_covering_pairs_match_oracle_on_oracle_tables():
         oracle = character_table_oracle(n)
         order = partitions_of(n)
         values = tuple(tuple(oracle[lam][mu] for mu in order) for lam in order)
-        report = find_covering_pairs(n, CharTable(n=n, order=order, values=values))
+        report = find_covering_pairs(n, CharTable(n=n, values=values))
         assert _as_set(report) == covering_pairs_oracle(order, values), n
 
 
@@ -140,7 +140,7 @@ def test_covering_pairs_match_oracle_on_random_zero_patterns(n, data):
         zeroed = data.draw(st.lists(st.booleans(), min_size=width - 1, max_size=width - 1))
         values.append(tuple(0 if z else v for z, v in zip(zeroed, row)) + row[-1:])
     values = tuple(values) + t.values[-1:]
-    report = find_covering_pairs(n, CharTable(n=n, order=t.order, values=values))
+    report = find_covering_pairs(n, CharTable(n=n, values=values))
     assert _as_set(report) == covering_pairs_oracle(t.order, values)
 
 
