@@ -33,7 +33,6 @@ _EXPORTS = {
         "BruteForceLimitError",
         "class_representative",
         "conjugacy_class",
-        "cycle_type",
         "deterministic_triples",
         "merge_lemma_check",
         "predicted_coefficient",

@@ -3,19 +3,20 @@
 The coefficient of the class sum of gamma in the product of the class sums
 of mu and nu counts pairs (x, y) in C_mu x C_nu with x*y = g for any fixed
 g in C_gamma.  structure_constant computes it from character data with exact
-integer arithmetic; structure_constant_bruteforce counts the pairs directly
-by enumerating the smallest of C_mu, C_nu and C_gamma, each built member by
-member without sweeping S_n, and walking the cycles of one product per
-member only until the first cycle that the wanted cycle type has no room
-for.  The two never share code, so each checks the other.
+integer arithmetic; structure_constant_bruteforce counts directly, by one
+route: it walks the smallest of C_mu, C_nu and C_gamma against the
+class_representative of another class, each class built member by member
+without sweeping S_n, and follows the cycles of one product per member only
+until the first cycle that the wanted cycle type has no room for.  The two
+never share code, so each checks the other.
 
 A class is enumerated once per process and kept as one bytes object: its
 members one after another, n bytes each, byte k of a member being its image
-of k.  One bytes.translate forms the product of g with every member of a
-class, and each product is walked as a tuple of ints.  An image takes one
-byte, so enumeration stops at 256 points with BruteForceLimitError, raised
-before any member is built.  conjugacy_class decodes the bytes into tuples
-on each call.
+of k.  One bytes.translate forms the product of a representative with every
+member of a class, and each product is walked as a tuple of ints.  An image
+takes one byte, so enumeration stops at 256 points with BruteForceLimitError,
+raised before any member is built.  conjugacy_class decodes the bytes into
+tuples on each call.
 
 Permutations are tuples of images on {0, ..., n-1}; composition is
 (a * b)(t) = a[b[t]].  Cycle types are label-independent, so the 0-based
@@ -44,8 +45,6 @@ from .vanishing import covers_all_nonlinear
 __all__ = [
     "Perm",
     "BruteForceLimitError",
-    "cycle_type",
-    "inverse",
     "class_representative",
     "conjugacy_class",
     "structure_constant",
@@ -64,41 +63,13 @@ class BruteForceLimitError(ValueError):
     """Raised when a brute-force enumeration is requested beyond its limit."""
 
 
-def cycle_type(perm: Perm) -> Partition:
-    """Cycle type of a permutation given as a tuple of images, as a partition.
-
-    Raises ValueError unless perm is a permutation of range(len(perm)).
-    """
-    if sorted(perm) != list(range(len(perm))):
-        raise ValueError(f"{perm} is not a permutation of range({len(perm)})")
-    seen = [False] * len(perm)
-    lengths: list[int] = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
-def inverse(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for t, image in enumerate(a):
-        out[image] = t
-    return tuple(out)
-
-
 def class_representative(gamma: Partition) -> Perm:
     """Fixed representative of the class with cycle type gamma.
 
     Cycles are laid out largest first and filled with consecutive points, so
     gamma = (3, 2, 1) on 6 points gives the permutation (0 1 2)(3 4)(5).
     """
+    gamma = as_partition(gamma)
     images = list(range(sum(gamma)))
     start = 0
     for part in gamma:
@@ -164,12 +135,13 @@ def conjugacy_class(mu: Partition, *, limit: int = BRUTE_FORCE_DEFAULT_LIMIT) ->
     The tuples are decoded from the class's bytes on each call, in the order
     the members were built.
     """
+    mu = as_partition(mu)
     n = sum(mu)
     if n > limit:
         raise BruteForceLimitError(f"class enumeration at n={n} exceeds limit {limit}")
     if not n:
         return ((),)  # S_0 is the one empty permutation
-    return tuple(zip(*[iter(_class_members(as_partition(mu)))] * n))
+    return tuple(zip(*[iter(_class_members(mu))] * n))
 
 
 def structure_constant(mu: Partition, nu: Partition, gamma: Partition, table: CharTable) -> int:
@@ -206,34 +178,25 @@ def structure_constant(mu: Partition, nu: Partition, gamma: Partition, table: Ch
 
 
 def structure_constant_bruteforce(
-    mu: Partition,
-    nu: Partition,
-    gamma: Partition,
-    *,
-    limit: int = BRUTE_FORCE_DEFAULT_LIMIT,
-    representative: Perm | None = None,
+    mu: Partition, nu: Partition, gamma: Partition, *, limit: int = BRUTE_FORCE_DEFAULT_LIMIT
 ) -> int:
     """Count pairs (x, y) in C_mu x C_nu with x*y = g by direct enumeration.
 
     Class sums commute ((x, y) -> (y, y^-1 x y) maps the solutions of x*y = g
     one-to-one to those of y*x' = g), so mu and nu are swapped when C_nu is
-    the smaller class.  Then the smaller of C_mu and C_gamma is enumerated,
-    one cycle walk per member, so the cost is min(|C_mu|, |C_nu|, |C_gamma|)
-    walks, refused beyond `limit` and beyond 256 points:
-
-    - C_mu, for g = `representative` (any member of C_gamma must give the
-      same count) or class_representative(gamma): w = x^{-1} runs over C_mu,
-      which is closed under inversion, and w is counted when g * w, a
-      conjugate of w * g, has cycle type nu.  class_size only picks this
-      route.
-    - C_gamma, when no representative is passed and |C_gamma| < |C_mu|.
-      Summing the count over all g in C_gamma, and using that it is the same
-      for every x in C_mu, gives
-          |C_gamma| * a = |C_mu| * #{z in C_gamma : x0^{-1} z in C_nu}
-      with x0 = class_representative(mu).  |C_gamma| is the number of
-      members enumerated and |C_mu| is class_size(mu), the one class size
-      that enters a count; a division that leaves a remainder raises
-      RuntimeError.
+    the smaller class.  Summing the count over all g in C_gamma and over all
+    x in C_mu, and using that conjugation moves every member of a class onto
+    every other, gives for the count a
+        |C_gamma| * a = |C_mu| * #{z in C_gamma : y0 * z in C_nu}
+                      = |C_gamma| * #{w in C_mu : g0 * w in C_nu}
+    for any y0 in C_mu (taken as x^-1: a class is closed under inversion) and
+    any g0 in C_gamma.  So the smaller of C_mu and C_gamma is enumerated
+    against the class_representative of the other, one cycle walk per member,
+    and the count is |C_mu| * hits / (members walked).  The cost is
+    min(|C_mu|, |C_nu|, |C_gamma|) walks, refused beyond `limit` and beyond
+    256 points.  |C_mu| is class_size(mu), the one class size that enters a
+    count; a division that leaves a remainder means the enumeration missed or
+    repeated a member, and raises RuntimeError.
     """
     mu, nu, gamma = as_partition(mu), as_partition(nu), as_partition(gamma)
     n = sum(mu)
@@ -241,24 +204,21 @@ def structure_constant_bruteforce(
         raise ValueError(f"classes must all partition the same n: {mu}, {nu}, {gamma}")
     if n > limit:
         raise BruteForceLimitError(f"brute force at n={n} exceeds limit {limit}")
+    if not n:
+        return 1  # S_0: the empty permutation alone, its own class and product
     if class_size(nu) < class_size(mu):
         mu, nu = nu, mu
-    if representative is None and class_size(gamma) < class_size(mu):
-        members = _class_members(gamma)
-        size = len(members) // n  # n > 0: at n = 0 every class has size 1
-        # _count_products walks g * z = x0^{-1} z for each z in C_gamma
-        hits = _count_products(members, inverse(class_representative(mu)), nu)
-        count, rem = divmod(class_size(mu) * hits, size)
-        if rem:
-            raise RuntimeError(
-                f"|C_mu| * {hits} is not a multiple of |C_gamma| = {size} "
-                f"for ({mu}, {nu}, {gamma}); the class enumeration is inconsistent"
-            )
-        return count
-    g = class_representative(gamma) if representative is None else tuple(representative)
-    if cycle_type(g) != gamma:
-        raise ValueError(f"representative {g} is not a permutation of cycle type {gamma}")
-    return _count_products(_class_members(mu), g, nu)
+    walked, fixed = (gamma, mu) if class_size(gamma) < class_size(mu) else (mu, gamma)
+    members = _class_members(walked)
+    hits = _count_products(members, class_representative(fixed), nu)
+    size = len(members) // n
+    count, rem = divmod(class_size(mu) * hits, size)
+    if rem:
+        raise RuntimeError(
+            f"|C_mu| * {hits} is not a multiple of the {size} members of C_{walked} "
+            f"for ({mu}, {nu}, {gamma}); the class enumeration is inconsistent"
+        )
+    return count
 
 
 def _count_products(members: bytes, g: Perm, target: Partition) -> int:
@@ -276,8 +236,6 @@ def _count_products(members: bytes, g: Perm, target: Partition) -> int:
     products fail there; a product that passes walks it again.
     """
     n = len(g)
-    if not n:
-        return 1  # S_0: the empty permutation alone, whose product has type ()
     products = members.translate(bytes(g) + bytes(range(n, 256)))
     parts_left = [0] * (n + 1)
     for part in target:

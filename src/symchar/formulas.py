@@ -18,7 +18,7 @@ from __future__ import annotations
 from enum import Enum
 from operator import add, sub
 
-from .partitions import Partition, multiplicities
+from .partitions import Partition, as_partition, multiplicities
 
 __all__ = [
     "NearHookShape",
@@ -66,6 +66,7 @@ def _exact_div(num: int, den: int) -> int:
 
 def near_hook_value(shape: NearHookShape, mu: Partition) -> int:
     """Character value of the shape instantiated at n = |mu| on class mu."""
+    mu = as_partition(mu)
     n = sum(mu)
     shape_partition(shape, n)  # validity check; raises when out of range
     m = multiplicities(mu)
@@ -125,6 +126,7 @@ def induced_value(k: int, inner: str, mu: Partition) -> int:
     With inner="trivial" this is the permutation character counting k-subsets
     fixed by w_mu; with k=n and inner="sign" it degenerates to sign_value(mu).
     """
+    mu = as_partition(mu)
     n = sum(mu)
     if not 1 <= k <= n:
         raise ValueError(f"induced_value needs 1 <= k <= {n}, got k={k}")
@@ -139,6 +141,7 @@ def hook_char_recursive(k: int, mu: Partition) -> int:
     Recursion: chi_{(n-k,1^k)} = induced(k, sign) - chi_{(n-k+1,1^(k-1))},
     unwound iteratively from the trivial character at k=0.
     """
+    mu = as_partition(mu)
     n = sum(mu)
     if not 0 <= k <= n - 1:
         raise ValueError(f"hook tail length must satisfy 0 <= k <= {n - 1}, got {k}")
@@ -154,6 +157,7 @@ def two_row_char_recursive(k: int, mu: Partition) -> int:
 
     Recursion: chi_{(n-k,k)} = induced(k, trivial) - sum_{j<k} chi_{(n-j,j)}.
     """
+    mu = as_partition(mu)
     n = sum(mu)
     if k < 0 or 2 * k > n:
         raise ValueError(f"second row must satisfy 0 <= k <= {n}/2, got {k}")

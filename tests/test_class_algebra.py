@@ -5,13 +5,12 @@ import math
 
 import pytest
 
-from oracles import structure_constant_oracle
+from oracles import perm_cycle_type, structure_constant_oracle
 from symchar import (
     BruteForceLimitError,
     class_representative,
     class_size,
     conjugacy_class,
-    cycle_type,
     deterministic_triples,
     merge_lemma_check,
     partitions_of,
@@ -20,36 +19,27 @@ from symchar import (
     structure_constant,
     structure_constant_bruteforce,
 )
-from symchar.class_algebra import _class_members, inverse
-
-
-def test_cycle_type_basics():
-    assert cycle_type((0, 1, 2)) == (1, 1, 1)
-    assert cycle_type((1, 2, 0)) == (3,)
-    assert cycle_type((1, 0, 3, 2)) == (2, 2)
-    assert cycle_type(()) == ()
-    # not permutations: a repeated image, or an image outside range(n)
-    for bad in ((1, 1, 0), (0, 0), (0, 2)):
-        with pytest.raises(ValueError, match="not a permutation"):
-            cycle_type(bad)
+from symchar.class_algebra import _class_members, _count_products
 
 
 def test_class_representative_round_trip():
     for n in range(1, 8):
         for mu in partitions_of(n):
             rep = class_representative(mu)
-            assert cycle_type(rep) == mu
+            assert perm_cycle_type(rep) == mu
     assert class_representative((3, 2, 1)) == (1, 2, 0, 4, 3, 5)
 
 
 def test_compose_and_inverse():
     for mu in partitions_of(6):
         x = class_representative(mu)
-        y = inverse(x)
+        y = [0] * 6
+        for t, image in enumerate(x):
+            y[image] = t
         # (a * b)(t) = a[b[t]]
         assert tuple(x[t] for t in y) == tuple(range(6))
         assert tuple(y[t] for t in x) == tuple(range(6))
-        assert cycle_type(y) == mu  # classes are self-inverse
+        assert perm_cycle_type(y) == mu  # classes are self-inverse
 
 
 def test_conjugacy_class_sizes():
@@ -60,11 +50,11 @@ def test_conjugacy_class_sizes():
         for mu in partitions_of(n):
             members = conjugacy_class(mu)
             assert len(set(members)) == len(members) == class_size(mu)
-            assert all(cycle_type(x) == mu for x in members)
+            assert all(perm_cycle_type(x) == mu for x in members)
             union.update(members)
         assert union == set(itertools.permutations(range(n)))
-    # the brute force over C_gamma multiplies by class_size(mu), so that size
-    # must be the number of members built at every n up to the default limit
+    # the brute force divides by the number of members it walked, so that
+    # must be the class size at every n up to the default limit
     for n in (8, 9):
         for mu in partitions_of(n):
             assert len(conjugacy_class(mu, limit=9)) == class_size(mu), mu
@@ -252,13 +242,12 @@ def _gamma_is_smallest(mu, nu, gamma):
 
 
 def test_bruteforce_independent_of_representative():
-    # any member of C_gamma gives the same count (here: a conjugate of the
-    # canonical representative by an n-cycle); a passed representative always
-    # fixes g, so where C_gamma is the smallest class this also compares the
-    # count over C_gamma with the count for one fixed g
+    # any member of C_gamma gives the same count over C_mu as the brute
+    # force, whichever class it walks (here: the canonical representative
+    # and its conjugate by an n-cycle), also where C_gamma is the smallest
     for n in (4, 5, 6):
         rot = tuple((i + 1) % n for i in range(n))
-        back = inverse(rot)
+        back = tuple((i - 1) % n for i in range(n))
         classes = partitions_of(n)
         smallest_gamma = [
             (mu, nu, gamma)
@@ -270,12 +259,10 @@ def test_bruteforce_independent_of_representative():
         for mu, nu, gamma in deterministic_triples(n, 8) + tuple(smallest_gamma[::5]):
             g = class_representative(gamma)
             conjugated = tuple(rot[g[back[t]]] for t in range(n))
-            assert cycle_type(conjugated) == gamma
-            default = structure_constant_bruteforce(mu, nu, gamma)
-            assert default == structure_constant_bruteforce(mu, nu, gamma, representative=g)
-            assert default == (
-                structure_constant_bruteforce(mu, nu, gamma, representative=conjugated)
-            )
+            assert perm_cycle_type(conjugated) == gamma
+            counted = structure_constant_bruteforce(mu, nu, gamma)
+            for rep in (g, conjugated):
+                assert _count_products(_class_members(mu), rep, nu) == counted, (mu, nu, gamma)
 
 
 def test_bruteforce_over_the_smallest_class_gamma(table_for):
@@ -298,14 +285,18 @@ def test_bruteforce_over_the_smallest_class_gamma(table_for):
 
 
 def test_bruteforce_over_gamma_checks_the_division(monkeypatch):
-    # a class enumeration that missed a member: 24 * 9 hits over 19 members
-    # of C_(3,1,1) leaves a remainder, which must not be rounded away
+    # a class enumeration that missed a member leaves a remainder, which must
+    # not be rounded away, whichever class is walked
     import symchar.class_algebra as class_algebra
 
     full = class_algebra._class_members
     monkeypatch.setattr(class_algebra, "_class_members", lambda mu: full(mu)[: -sum(mu)])
+    # over C_gamma: 24 * 10 hits over 19 members of C_(3,1,1)
     with pytest.raises(RuntimeError, match="not a multiple"):
         structure_constant_bruteforce((5,), (5,), (3, 1, 1))
+    # over C_mu: 10 * 3 hits over 9 members of C_(2,1,1,1)
+    with pytest.raises(RuntimeError, match="not a multiple"):
+        structure_constant_bruteforce((2, 1, 1, 1), (2, 1, 1, 1), (3, 1, 1))
 
 
 def test_bruteforce_rejects_bad_inputs():
@@ -313,12 +304,6 @@ def test_bruteforce_rejects_bad_inputs():
         structure_constant_bruteforce((9,), (9,), (9,), limit=8)
     with pytest.raises(ValueError):
         structure_constant_bruteforce((3,), (2, 1), (2, 2))
-    with pytest.raises(ValueError):
-        structure_constant_bruteforce((3,), (3,), (3,), representative=(0, 1, 2))
-    # not a permutation, though its functional graph has the cycle type
-    # (2, 1); a cycle walk through it need not come back to its start
-    with pytest.raises(ValueError):
-        structure_constant_bruteforce((2, 1), (2, 1), (2, 1), representative=(1, 1, 0))
 
 
 def test_deterministic_triples_are_deterministic():

@@ -714,6 +714,13 @@ def test_verify_reports_every_check_a_damaged_table_fails(cache, capsys):
         ("formulas.near_hook_value", (NearHookShape.R21, (8,)), "formulas", 8, "R21 at mu=(8,): formula 1 != mn 0"),
         ("formulas.hook_char_recursive", (1, (8,)), "formulas", 8, "hook k=1 at mu=(8,): recursion 0 != mn -1"),
         (
+            "formulas.two_row_char_recursive",
+            (1, (8,)),
+            "formulas",
+            8,
+            "two-row k=1 at mu=(8,): recursion 0 != mn -1",
+        ),
+        (
             "class_algebra.structure_constant_bruteforce",
             ((2, 2), (2, 2), (1, 1, 1, 1)),
             "structure",
@@ -721,7 +728,7 @@ def test_verify_reports_every_check_a_damaged_table_fails(cache, capsys):
             "((2, 2), (2, 2), (1, 1, 1, 1)): formula 3 != enumeration 4",
         ),
     ],
-    ids=["near-hook", "hook-recursion", "brute-force"],
+    ids=["near-hook", "hook-recursion", "two-row-recursion", "brute-force"],
 )
 def test_verify_reports_a_wrong_route(cache, capsys, monkeypatch, route, wrong_at, suite, n, problem):
     # the route answers one more than it should at one input, and right elsewhere
@@ -738,6 +745,26 @@ def test_verify_reports_a_wrong_route(cache, capsys, monkeypatch, route, wrong_a
     argv = ["--cache-dir", cache, "verify", "--suite", suite, "--n-min", str(n), "--n-max", str(n)]
     assert main(argv) == EXIT_VERIFY_FAILED
     assert _verify_lines(capsys.readouterr().out) == [f"FAIL {suite} n={n}", f"     {problem}"]
+
+
+def test_a_linear_degree_on_a_nonlinear_row_stops_the_pair_scan(cache, capsys):
+    # chi_(4,1) has degree 4; saved as 1, so the file's digest matches, and
+    # the two criteria for a linear row disagree
+    from symchar import find_covering_pairs
+
+    table = character_table(5)
+    values = [list(row) for row in table.values]
+    values[table.index((4, 1))][-1] = 1
+    save_table(table._replace(values=tuple(map(tuple, values))), table_cache_path(cache, 5))
+    damaged = load_table(table_cache_path(cache, 5))
+    with pytest.raises(RuntimeError, match="linear-character criteria disagree"):
+        find_covering_pairs(5, damaged)
+    assert main(["--cache-dir", cache, "vanishing-pairs", "5"]) == EXIT_VERIFY_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert "linear-character criteria disagree" in captured.err
 
 
 def test_verify_reports_running_out_of_memory_as_an_error(cache, capsys, monkeypatch):

@@ -3,6 +3,8 @@ import pytest
 from oracles import degree_by_hooks, induced_binomial_oracle, induced_oracle
 from symchar import (
     NearHookShape,
+    class_representative,
+    conjugacy_class,
     hook_char_recursive,
     induced_value,
     mn_char,
@@ -134,6 +136,25 @@ def test_induced_value_rejects_bad_arguments():
         induced_value(5, "trivial", (3, 1))
     with pytest.raises(ValueError):
         induced_value(2, "alternating", (3, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # as in mn_char, a part that is not a positive int is refused; a
+        # route that answered here would answer for no class of S_n
+        lambda: two_row_char_recursive(1, (1, 1, 0)),
+        lambda: hook_char_recursive(1, (1, 1, 0)),
+        lambda: induced_value(2, "trivial", (2, 0)),
+        lambda: near_hook_value(NearHookShape.R1, (1.5, 1.5)),
+        lambda: conjugacy_class((0,)),
+        lambda: class_representative((2, -1)),
+    ],
+    ids=["two-row", "hook", "induced", "near-hook", "conjugacy-class", "representative"],
+)
+def test_library_calls_refuse_non_partitions(call):
+    with pytest.raises(ValueError, match="positive integers"):
+        call()
 
 
 def test_hook_recursion_spot_values():
