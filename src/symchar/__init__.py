@@ -62,12 +62,10 @@ _EXPORTS = {
     ),
     "vanishing": (
         "CoveringPairReport",
-        "TheoremCheck",
         "covers_all_nonlinear",
         "find_covering_pairs",
         "k_of_sn",
         "vanishing_set",
-        "verify_main_theorem",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

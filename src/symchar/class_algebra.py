@@ -322,10 +322,10 @@ def merge_lemma_check(mu: Partition, nu: Partition) -> bool:
     remaining parts agree as multisets.  This is the combinatorial relation
     forced between two classes whose product hits the transposition class.
     """
+    mu = as_partition(mu)
+    nu = as_partition(nu)
     if sum(mu) != sum(nu):
         raise ValueError(f"size mismatch: |{mu}| != |{nu}|")
-    mu = tuple(mu)
-    nu = tuple(sorted(nu, reverse=True))
     for i in range(len(mu)):
         for j in range(i + 1, len(mu)):
             if merge_parts(mu, i, j) == nu:

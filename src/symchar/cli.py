@@ -255,7 +255,7 @@ def _cmd_vanishing_pairs(args: argparse.Namespace) -> int:
     from .characters import character_table
     from .vanishing import find_covering_pairs
 
-    report = find_covering_pairs(args.n, character_table(args.n, cache_dir=args.cache_dir))
+    report = find_covering_pairs(character_table(args.n, cache_dir=args.cache_dir))
     sys.stdout.write(_PAIRS_RENDERERS[args.format](report))
     return EXIT_OK
 
@@ -310,10 +310,9 @@ def _run_check(name: str, fn) -> bool:
 
 def _check_theorem(n: int, args: argparse.Namespace) -> list[str]:
     from .characters import character_table
-    from .vanishing import verify_main_theorem
+    from .vanishing import find_covering_pairs
 
-    result = verify_main_theorem(n, character_table(n, cache_dir=args.cache_dir))
-    return result.diagnostics() if not result.ok else []
+    return find_covering_pairs(character_table(n, cache_dir=args.cache_dir)).diagnostics()
 
 
 def _check_orthogonality(n: int, args: argparse.Namespace) -> list[str]:

@@ -3,7 +3,9 @@
 A partition is represented as a tuple of positive ints in weakly decreasing
 order, e.g. (5, 3, 1, 1).  The empty tuple () is the unique partition of 0 and
 is a legitimate value everywhere below; it matters as the base case of the
-character recursions.
+character recursions.  The statistics below, conjugate and merge_parts read
+their partition through as_partition, so parts may come in any order and a
+part that is not a positive int raises ValueError.
 
 Partitions of n double as labels for the conjugacy classes of the symmetric
 group S_n (cycle types) and for its irreducible characters, so this module is
@@ -96,7 +98,7 @@ def _descending(remaining: int, cap: int) -> Iterator[Partition]:
 
 def multiplicities(p: Partition) -> dict[int, int]:
     """Map each part value i to its multiplicity m_i; absent parts are omitted."""
-    return dict(Counter(p))
+    return dict(Counter(as_partition(p)))
 
 
 def centralizer_order(p: Partition) -> int:
@@ -106,23 +108,26 @@ def centralizer_order(p: Partition) -> int:
     with class_size this satisfies centralizer_order(p) * class_size(p) = n!.
     """
     z = 1
-    for value, count in Counter(p).items():
+    for value, count in Counter(as_partition(p)).items():
         z *= value**count * math.factorial(count)
     return z
 
 
 def class_size(p: Partition) -> int:
     """Number of permutations in S_n with cycle type p (n = sum of parts)."""
+    p = as_partition(p)
     return math.factorial(sum(p)) // centralizer_order(p)
 
 
 def sign_value(p: Partition) -> int:
     """Sign of any permutation of cycle type p: (-1)^(n - number of parts)."""
+    p = as_partition(p)
     return 1 if (sum(p) - len(p)) % 2 == 0 else -1
 
 
 def is_hook(p: Partition) -> bool:
     """True when p has the shape (a, 1, 1, ..., 1), i.e. second part <= 1."""
+    p = as_partition(p)
     return len(p) <= 1 or p[1] <= 1
 
 
@@ -130,8 +135,10 @@ def merge_parts(p: Partition, i: int, j: int) -> Partition:
     """Replace the parts at positions i and j (0-based) by their sum.
 
     merge_parts((3, 2, 1), 1, 2) == (3, 3); merge_parts((1, 1), 0, 1) == (2,).
-    The result is re-sorted into canonical descending order.
+    The positions index p's canonical descending form, and the result is
+    re-sorted into that form.
     """
+    p = as_partition(p)
     if i == j:
         raise ValueError("merge_parts needs two distinct part positions")
     if not (0 <= i < len(p)) or not (0 <= j < len(p)):
@@ -143,6 +150,7 @@ def merge_parts(p: Partition, i: int, j: int) -> Partition:
 
 def conjugate(p: Partition) -> Partition:
     """Transpose the Young diagram of p.  An involution: conjugate twice is id."""
+    p = as_partition(p)
     if not p:
         return ()
     return tuple(sum(1 for part in p if part >= k) for k in range(1, p[0] + 1))

@@ -51,7 +51,7 @@ def test_01_unique_covering_pair_for_n_7_to_22(table_for):
     with criterion("covering pairs for n=7..22 are exactly ((n),(n-1,1))"):
         start = time.perf_counter()
         for n in range(7, 23):
-            report = find_covering_pairs(n, table_for(n))
+            report = find_covering_pairs(table_for(n))
             assert report.pairs == (((n,), (n - 1, 1)),), (n, report.pairs)
             assert report.matches_theorem is True
         assert time.perf_counter() - start < 120
@@ -61,7 +61,7 @@ def test_02_two_classes_needed_for_n_7_to_12(table_for):
     with criterion("k(S_n) = 2 for n=7..12: no single class covers, a pair does"):
         for n in range(7, 13):
             t = table_for(n)
-            assert k_of_sn(n, t) == 2
+            assert k_of_sn(t) == 2
             for mu in partitions_of(n):
                 assert not covers_all_nonlinear(mu, mu, t), (n, mu)
 
@@ -152,7 +152,7 @@ def test_08_covering_pair_coefficients_collapse(table_for):
     with criterion("covering pairs at n=7..10 predict every structure constant"):
         for n in range(7, 11):
             t = table_for(n)
-            report = find_covering_pairs(n, t)
+            report = find_covering_pairs(t)
             assert report.pairs
             for mu, nu in report.pairs:
                 for gamma in partitions_of(n):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from symchar.cli import (
     EXIT_VERIFY_FAILED,
     _render_table_pretty,
     main,
+    run,
 )
 from symchar.formulas import NearHookShape
 
@@ -273,6 +275,19 @@ def test_package_entry_point_runs_the_command(cache, tmp_path):
     assert done.stdout == ",3,2.1,1.1.1\n3,1,1,1\n2.1,-1,0,2\n1.1.1,1,-1,1\n"
 
 
+def test_documented_entry_points_run_in_and_out_of_process(cache, tmp_path, monkeypatch, capsys):
+    argv = ["--cache-dir", cache, "eval", "--lambda", "2,1", "--mu", "3"]
+    done = _run_python(["-m", "symchar", *argv], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, "-1\n", "")
+    # the [project.scripts] target, then the package's __main__ that calls it
+    monkeypatch.setattr(sys, "argv", ["symchar", *argv])
+    for entry in (run, lambda: runpy.run_module("symchar", run_name="__main__")):
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out == "-1\n"
+
+
 # --- start-up: each request imports only the modules its command uses ------
 
 # Runs main(argv) in the interpreter, then prints, as its last line, the
@@ -384,6 +399,23 @@ def test_chartable_rejects_nonpositive_n():
     with pytest.raises(SystemExit) as exc:
         main(["chartable", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [(["chartable", "x"], "'x'"), (["verify", "--n-min", "abc"], "'abc'")],
+    ids=["chartable", "verify-n-min"],
+)
+def test_non_integer_count_is_a_usage_error(cache, capsys, argv, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache-dir", cache, *argv])
+    assert exc.value.code == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].endswith(f"expected a positive integer, got {text}")
+    assert not Path(cache).exists()
 
 
 def test_eval_mn(cache, capsys):
@@ -758,7 +790,7 @@ def test_a_linear_degree_on_a_nonlinear_row_stops_the_pair_scan(cache, capsys):
     save_table(table._replace(values=tuple(map(tuple, values))), table_cache_path(cache, 5))
     damaged = load_table(table_cache_path(cache, 5))
     with pytest.raises(RuntimeError, match="linear-character criteria disagree"):
-        find_covering_pairs(5, damaged)
+        find_covering_pairs(damaged)
     assert main(["--cache-dir", cache, "vanishing-pairs", "5"]) == EXIT_VERIFY_FAILED
     captured = capsys.readouterr()
     assert captured.out == ""

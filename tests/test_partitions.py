@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import partition_count, perm_sign_by_inversions, rep_of_type
 from symchar import (
     centralizer_order,
+    merge_lemma_check,
     class_size,
     conjugate,
     format_partition,
@@ -135,6 +136,45 @@ def test_merge_parts_rejects_bad_indices():
         merge_parts((3, 2), 0, 2)
     with pytest.raises(ValueError):
         merge_parts((3, 2), -1, 1)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        # parts in any order give the answer for the canonical partition
+        (lambda: conjugate((1, 2)), (2, 1)),
+        (lambda: is_hook((1, 2)), True),
+        (lambda: centralizer_order((1, 2)), 2),
+        (lambda: class_size((1, 3, 2)), 120),
+        (lambda: sign_value((1, 2)), -1),
+        (lambda: multiplicities((1, 2, 1)), {2: 1, 1: 2}),
+        (lambda: merge_parts((1, 2, 3), 0, 1), (5, 1)),
+        (lambda: merge_lemma_check((1, 1, 2), (2, 2)), True),
+        # a part that is not a positive int names no class of S_n
+        (lambda: conjugate((2, 0)), ValueError),
+        (lambda: is_hook((1, 0)), ValueError),
+        (lambda: centralizer_order((2, 0)), ValueError),
+        (lambda: class_size((2, 0)), ValueError),
+        (lambda: sign_value((2, -1)), ValueError),
+        (lambda: multiplicities((1.5,)), ValueError),
+        (lambda: merge_parts((2, 0), 0, 1), ValueError),
+        (lambda: merge_lemma_check((2, 0), (2,)), ValueError),
+    ],
+    ids=[
+        f"{kind}-{name}"
+        for kind in ("unsorted", "bad")
+        for name in (
+            "conjugate", "hook", "centralizer", "class-size",
+            "sign", "multiplicities", "merge", "merge-lemma",
+        )
+    ],
+)
+def test_helpers_read_the_class_through_as_partition(call, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="positive integers"):
+            call()
+    else:
+        assert call() == expected
 
 
 def test_conjugate():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from oracles import character_table_oracle, covering_pairs_oracle
 from symchar import (
     CharTable,
+    CoveringPairReport,
     character_table,
     covers_all_nonlinear,
     find_covering_pairs,
@@ -13,7 +14,6 @@ from symchar import (
     partitions_of,
     sign_value,
     vanishing_set,
-    verify_main_theorem,
 )
 
 
@@ -54,7 +54,7 @@ def test_covers_all_nonlinear_known_cases(table_for):
 
 
 def test_find_covering_pairs_n3(table_for):
-    report = find_covering_pairs(3, table_for(3))
+    report = find_covering_pairs(table_for(3))
     assert report.pairs == (
         ((3,), (2, 1)),
         ((2, 1), (2, 1)),
@@ -67,7 +67,7 @@ def test_find_covering_pairs_n3(table_for):
 
 
 def test_find_covering_pairs_n4(table_for):
-    report = find_covering_pairs(4, table_for(4))
+    report = find_covering_pairs(table_for(4))
     assert report.pairs == (
         ((4,), (3, 1)),
         ((3, 1), (2, 1, 1)),
@@ -78,13 +78,13 @@ def test_find_covering_pairs_n4(table_for):
 
 def test_find_covering_pairs_small_n_vacuous(table_for):
     # no non-linear characters at all, so every pair covers
-    report1 = find_covering_pairs(1, table_for(1))
+    report1 = find_covering_pairs(table_for(1))
     assert report1.vacuous
     assert report1.matches_theorem is None
     assert report1.k_value == 1
     assert report1.pairs == (((1,), (1,)),)
 
-    report2 = find_covering_pairs(2, table_for(2))
+    report2 = find_covering_pairs(table_for(2))
     assert report2.vacuous
     assert report2.k_value == 1
     assert report2.pairs == (
@@ -96,12 +96,19 @@ def test_find_covering_pairs_small_n_vacuous(table_for):
 
 def test_theorem_range_has_unique_pair(table_for):
     for n in range(7, 13):
-        report = find_covering_pairs(n, table_for(n))
+        report = find_covering_pairs(table_for(n))
         assert report.pairs == (((n,), (n - 1, 1)),)
         assert report.k_value == 2
         assert report.matches_theorem is True
         assert report.degenerate_pairs() == ()
         assert not report.vacuous
+
+
+def _assert_one_cover_rule(t, pairs):
+    # covers_all_nonlinear holds for exactly the pairs the scan found
+    for a, mu in enumerate(t.order):
+        for nu in t.order[a:]:
+            assert covers_all_nonlinear(mu, nu, t) == ((mu, nu) in pairs), (t.n, mu, nu)
 
 
 def _as_set(report):
@@ -115,7 +122,7 @@ def test_covering_pairs_match_oracle_on_oracle_tables():
         oracle = character_table_oracle(n)
         order = partitions_of(n)
         values = tuple(tuple(oracle[lam][mu] for mu in order) for lam in order)
-        report = find_covering_pairs(n, CharTable(n=n, values=values))
+        report = find_covering_pairs(CharTable(n=n, values=values))
         assert _as_set(report) == covering_pairs_oracle(order, values), n
 
 
@@ -125,7 +132,7 @@ def test_covering_pairs_match_oracle_on_package_tables(table_for):
         t = table_for(n)
         labels = tuple(tuple(lam) for lam in t.order)
         rows = tuple(tuple(row) for row in t.values)
-        assert _as_set(find_covering_pairs(n, t)) == covering_pairs_oracle(labels, rows), n
+        assert _as_set(find_covering_pairs(t)) == covering_pairs_oracle(labels, rows), n
 
 
 @settings(deadline=None)
@@ -140,13 +147,15 @@ def test_covering_pairs_match_oracle_on_random_zero_patterns(n, data):
         zeroed = data.draw(st.lists(st.booleans(), min_size=width - 1, max_size=width - 1))
         values.append(tuple(0 if z else v for z, v in zip(zeroed, row)) + row[-1:])
     values = tuple(values) + t.values[-1:]
-    report = find_covering_pairs(n, CharTable(n=n, values=values))
+    table = CharTable(n=n, values=values)
+    report = find_covering_pairs(table)
     assert _as_set(report) == covering_pairs_oracle(t.order, values)
+    _assert_one_cover_rule(table, set(report.pairs))
 
 
 def test_covering_pairs_have_odd_parity_product(table_for):
     for n in range(4, 13):
-        report = find_covering_pairs(n, table_for(n))
+        report = find_covering_pairs(table_for(n))
         assert report.pairs
         for mu, nu in report.pairs:
             assert sign_value(mu) * sign_value(nu) == -1
@@ -160,41 +169,40 @@ def test_no_single_class_covers_beyond_n3(table_for):
 
 
 def test_k_of_sn(table_for):
-    assert k_of_sn(3, table_for(3)) == 1
+    assert k_of_sn(table_for(3)) == 1
     for n in range(4, 13):
-        assert k_of_sn(n, table_for(n)) == 2
+        assert k_of_sn(table_for(n)) == 2
     with pytest.raises(ValueError):
-        k_of_sn(2, table_for(2))
+        k_of_sn(table_for(2))
 
 
-def test_verify_main_theorem(table_for):
+def test_theorem_diagnostics(table_for):
     for n in range(7, 13):
-        check = verify_main_theorem(n, table_for(n))
-        assert check.ok
-        assert check.expected == ((n,), (n - 1, 1))
-        assert check.extra_pairs == ()
-        assert check.missing_pairs == ()
-        assert check.diagnostics() == []
-    with pytest.raises(ValueError):
-        verify_main_theorem(6, table_for(6))
+        assert find_covering_pairs(table_for(n)).diagnostics() == []
+    with pytest.raises(ValueError, match="n > 6, got 6"):
+        find_covering_pairs(table_for(6)).diagnostics()
 
 
-def test_theorem_check_diagnostics_name_the_pairs():
-    from symchar.vanishing import TheoremCheck
-
-    check = TheoremCheck(
-        n=7,
-        ok=False,
-        expected=((7,), (6, 1)),
-        extra_pairs=(((5, 2), (4, 3)),),
-        missing_pairs=(((7,), (6, 1)),),
-    )
-    lines = check.diagnostics()
-    assert len(lines) == 2
-    assert "(5, 2)" in lines[0]
-    assert "(7,)" in lines[1]
+def test_theorem_diagnostics_name_the_pairs():
+    report = CoveringPairReport(n=7, pairs=(((5, 2), (4, 3)),))
+    assert report.matches_theorem is False
+    assert report.diagnostics() == [
+        "unexpected covering pair: (5, 2) , (4, 3)",
+        "expected covering pair not found: (7,) , (6, 1)",
+    ]
 
 
-def test_report_table_mismatch(table_for):
-    with pytest.raises(ValueError):
-        find_covering_pairs(5, table_for(4))
+def test_report_holds_only_n_and_pairs():
+    assert CoveringPairReport._fields == ("n", "pairs")
+    # every other answer follows from the pairs alone
+    report = CoveringPairReport(n=7, pairs=(((7,), (6, 1)), ((3, 3, 1), (3, 3, 1))))
+    assert report.k_value == 1
+    assert not report.vacuous
+    assert report.diagnostics() == ["unexpected covering pair: (3, 3, 1) , (3, 3, 1)"]
+    assert CoveringPairReport(n=8, pairs=()).k_value is None
+
+
+def test_one_cover_rule(table_for):
+    for n in range(1, 10):
+        t = table_for(n)
+        _assert_one_cover_rule(t, set(find_covering_pairs(t).pairs))
