@@ -302,16 +302,17 @@ def predicted_coefficient(
     return coeff
 
 
-def deterministic_triples(n: int, count: int) -> tuple[tuple[Partition, Partition, Partition], ...]:
-    """Reproducible sample of class triples of S_n for spot verification.
+def deterministic_triples(n: int) -> tuple[tuple[Partition, Partition, Partition], ...]:
+    """Reproducible sample of 100 class triples of S_n for spot verification.
 
-    The same (n, count) always yields the same triples, so verification runs
-    are comparable across machines and sessions.
+    The same n always yields the same triples, so verification runs are
+    comparable across machines and sessions.  Each triple draws its three
+    classes in turn, so a prefix of the sample is a smaller sample.
     """
     rng = random.Random(7919 * 1_000_003 + n)
     classes = partitions_of(n)
     return tuple(
-        (rng.choice(classes), rng.choice(classes), rng.choice(classes)) for _ in range(count)
+        (rng.choice(classes), rng.choice(classes), rng.choice(classes)) for _ in range(100)
     )
 
 

@@ -394,7 +394,7 @@ def _check_structure(n: int, args: argparse.Namespace) -> list[str]:
             (mu, nu, gamma) for mu in classes for nu in classes for gamma in classes
         ]
     else:
-        triples = deterministic_triples(n, 100)
+        triples = deterministic_triples(n)
     problems = []
     for mu, nu, gamma in triples:
         expected = structure_constant(mu, nu, gamma, table)

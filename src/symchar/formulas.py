@@ -10,7 +10,10 @@ induced_value gives the value at w_mu of the character induced from the
 trivial or sign character of a two-block Young subgroup S_{n-k} x S_k: the
 coefficient of t^k in prod_i (1 + s_i t^{mu_i}).  The two recursions built
 on that polynomial (hook shapes (n-k, 1^k) and two-row shapes (n-k, k))
-provide an evaluation route independent of the closed forms.
+provide an evaluation route independent of the closed forms.  The two-row
+one is Young's rule: for 2k <= n the trivial character induced from
+S_{n-k} x S_k is the sum of chi_{(n-j,j)} over j <= k, so chi_{(n-k,k)} is
+the difference of the coefficients of t^k and t^(k-1).
 """
 
 from __future__ import annotations
@@ -48,8 +51,11 @@ def shape_partition(shape: NearHookShape, n: int) -> Partition:
 
     Valid only when the first row n - |tail| keeps the sequence weakly
     decreasing; anything else raises rather than silently evaluating a
-    polynomial outside its range.
+    polynomial outside its range.  A shape that is not a NearHookShape
+    raises ValueError too.
     """
+    if not isinstance(shape, NearHookShape):
+        raise ValueError(f"unknown shape {shape!r}")
     tail = shape.value
     first = n - sum(tail)
     if first < tail[0]:
@@ -93,15 +99,14 @@ def near_hook_value(shape: NearHookShape, mu: Partition) -> int:
             - _exact_div(m2 * (m2 - 1), 2)
             + m4
         )
-    if shape is NearHookShape.R1111:
-        return (
-            _exact_div((m1 - 1) * (m1 - 2) * (m1 - 3) * (m1 - 4), 24)
-            - _exact_div((m1 - 1) * (m1 - 2) * m2, 2)
-            + (m1 - 1) * m3
-            + _exact_div(m2 * (m2 - 1), 2)
-            - m4
-        )
-    raise ValueError(f"unknown shape {shape!r}")
+    # shape_partition admitted only NearHookShapes, so this is R1111
+    return (
+        _exact_div((m1 - 1) * (m1 - 2) * (m1 - 3) * (m1 - 4), 24)
+        - _exact_div((m1 - 1) * (m1 - 2) * m2, 2)
+        + (m1 - 1) * m3
+        + _exact_div(m2 * (m2 - 1), 2)
+        - m4
+    )
 
 
 def _induced_polynomial(inner: str, mu: Partition) -> list[int]:
@@ -155,15 +160,14 @@ def hook_char_recursive(k: int, mu: Partition) -> int:
 def two_row_char_recursive(k: int, mu: Partition) -> int:
     """Character of the two-row shape (n-k, k) at w_mu, for 0 <= 2k <= n.
 
-    Recursion: chi_{(n-k,k)} = induced(k, trivial) - sum_{j<k} chi_{(n-j,j)}.
+    Young's rule: for 2k <= n the character induced from the trivial
+    character of S_{n-k} x S_k is sum_{j<=k} chi_{(n-j,j)}.  So
+    chi_{(n-k,k)} = induced(k, trivial) - induced(k-1, trivial), two
+    coefficients of the one polynomial, and the trivial character at k=0.
     """
     mu = as_partition(mu)
     n = sum(mu)
     if k < 0 or 2 * k > n:
         raise ValueError(f"second row must satisfy 0 <= k <= {n}/2, got {k}")
     induced = _induced_polynomial("trivial", mu)
-    value = total = 1  # total: the sum of the chi_{(n-j,j)} so far
-    for j in range(1, k + 1):
-        value = induced[j] - total
-        total += value
-    return value
+    return induced[k] - induced[k - 1] if k else 1

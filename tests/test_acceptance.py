@@ -139,7 +139,7 @@ def test_07_structure_constants_agree_with_enumeration_through_n_9(table_for):
                         ), (mu, nu, gamma)
         for n in (7, 8, 9):
             t = table_for(n)
-            triples = deterministic_triples(n, 100)
+            triples = deterministic_triples(n)
             assert len(triples) == 100
             for mu, nu, gamma in triples:
                 assert structure_constant(mu, nu, gamma, t) == (

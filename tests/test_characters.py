@@ -92,6 +92,8 @@ def test_border_strip_removals_frozen_examples():
     )
     # the full diagram is not itself a border strip (it has a 2x2 block)
     assert border_strip_removals((2, 2), 4) == ()
+    with pytest.raises(ValueError, match="strip length must be positive"):
+        border_strip_removals((2, 2), 0)
 
 
 def test_border_strip_removals_match_hook_lengths():

@@ -11,6 +11,7 @@ from symchar import (
     class_representative,
     class_size,
     conjugacy_class,
+    covers_all_nonlinear,
     deterministic_triples,
     merge_lemma_check,
     partitions_of,
@@ -231,7 +232,7 @@ def test_bruteforce_matches_independent_convolution_oracle():
     # the oracle enumerates y over all of S_n and reconstructs x; the package
     # builds the smaller class directly
     for n in range(2, 7):
-        for mu, nu, gamma in deterministic_triples(n, 10):
+        for mu, nu, gamma in deterministic_triples(n)[:10]:
             assert structure_constant_bruteforce(mu, nu, gamma) == (
                 structure_constant_oracle(mu, nu, gamma)
             )
@@ -256,7 +257,7 @@ def test_bruteforce_independent_of_representative():
             for gamma in classes
             if _gamma_is_smallest(mu, nu, gamma)
         ]
-        for mu, nu, gamma in deterministic_triples(n, 8) + tuple(smallest_gamma[::5]):
+        for mu, nu, gamma in deterministic_triples(n)[:8] + tuple(smallest_gamma[::5]):
             g = class_representative(gamma)
             conjugated = tuple(rot[g[back[t]]] for t in range(n))
             assert perm_cycle_type(conjugated) == gamma
@@ -307,11 +308,18 @@ def test_bruteforce_rejects_bad_inputs():
 
 
 def test_deterministic_triples_are_deterministic():
-    a = deterministic_triples(7, 25)
-    b = deterministic_triples(7, 25)
+    a = deterministic_triples(7)
+    b = deterministic_triples(7)
     assert a == b
-    assert len(a) == 25
+    assert len(a) == 100
     assert all(sum(p) == 7 for triple in a for p in triple)
+    # the sample verify checks, pinned for n = 1..24
+    digest = hashlib.sha256()
+    for n in range(1, 25):
+        digest.update(repr(deterministic_triples(n)).encode())
+    assert digest.hexdigest() == (
+        "19cc563b7b4f6bc44ecdaf80f74caf28f3d3480c28fbdf32a3311a78859be5cb"
+    )
 
 
 def test_predicted_coefficient_examples(table_for):
@@ -322,6 +330,24 @@ def test_predicted_coefficient_examples(table_for):
     assert value == 240
     assert predicted_coefficient((7,), (6, 1), (3, 1, 1, 1, 1), t7) == 0  # even class
     assert predicted_coefficient((5, 2), (6, 1), transposition, t7) is None
+
+
+def _with_entry(table, lam, mu, value):
+    rows = [list(row) for row in table.values]
+    rows[table.index(lam)][table.index(mu)] = value
+    return table._replace(values=tuple(map(tuple, rows)))
+
+
+def test_predicted_coefficient_refuses_what_it_cannot_predict(table_for):
+    t4 = table_for(4)
+    with pytest.raises(ValueError, match="must all partition 4"):
+        predicted_coefficient((3,), (2, 1), (3,), t4)
+    # chi_(2,2) set to 0 at (3,1) makes ((3,1), (3,1)) a covering pair of the
+    # damaged table, and 2*8*8/4! is not an integer
+    damaged = _with_entry(t4, (2, 2), (3, 1), 0)
+    assert covers_all_nonlinear((3, 1), (3, 1), damaged)
+    with pytest.raises(RuntimeError, match="not integral"):
+        predicted_coefficient((3, 1), (3, 1), (2, 1, 1), damaged)
 
 
 def test_predicted_coefficient_matches_structure_constant_on_covering_pair(table_for):

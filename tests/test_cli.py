@@ -382,6 +382,7 @@ def test_package_exports_are_the_submodule_objects():
         owners = [vars(module)[name] for module in modules if name in vars(module)]
         assert owners and all(obj is namespace[name] for obj in owners), name
     assert not hasattr(symchar, "no_such_name")
+    assert set(symchar.__all__) <= set(dir(symchar))
 
 
 def test_every_submodule_all_resolves():

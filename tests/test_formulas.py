@@ -14,6 +14,7 @@ from symchar import (
     sign_value,
     two_row_char_recursive,
 )
+from symchar.formulas import _exact_div
 
 # minimal n at which each shape instantiates to a weakly decreasing sequence
 MIN_N = {
@@ -155,6 +156,26 @@ def test_induced_value_rejects_bad_arguments():
 def test_library_calls_refuse_non_partitions(call):
     with pytest.raises(ValueError, match="positive integers"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: shape_partition((2,), 4),
+        lambda: near_hook_value((2,), (3, 1)),
+        lambda: near_hook_value("R2", (3, 1)),
+    ],
+    ids=["shape-partition-tail", "near-hook-tail", "near-hook-name"],
+)
+def test_library_calls_refuse_unknown_shapes(call):
+    # only a NearHookShape names a family; a bare tail or a name is refused
+    with pytest.raises(ValueError, match="unknown shape"):
+        call()
+
+
+def test_inexact_division_raises():
+    with pytest.raises(ArithmeticError, match="non-exact division 7/2"):
+        _exact_div(7, 2)
 
 
 def test_hook_recursion_spot_values():

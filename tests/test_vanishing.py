@@ -176,6 +176,15 @@ def test_k_of_sn(table_for):
         k_of_sn(table_for(2))
 
 
+def test_k_of_sn_refuses_a_table_with_no_covering_pair(table_for):
+    # chi_(6,1) set to its degree everywhere vanishes on no class of S_7
+    t7 = table_for(7)
+    rows = list(t7.values)
+    rows[t7.index((6, 1))] = (6,) * len(t7.order)
+    with pytest.raises(RuntimeError, match="no covering pair of classes exists for n=7"):
+        k_of_sn(t7._replace(values=tuple(rows)))
+
+
 def test_theorem_diagnostics(table_for):
     for n in range(7, 13):
         assert find_covering_pairs(table_for(n)).diagnostics() == []
