@@ -24,7 +24,6 @@ _EXPORTS = {
         "RimHookRemoval",
         "border_strip_removals",
         "character_table",
-        "degree",
         "load_table",
         "mn_char",
         "save_table",
@@ -42,7 +41,6 @@ _EXPORTS = {
     "formulas": (
         "NearHookShape",
         "hook_char_recursive",
-        "induced_value",
         "near_hook_value",
         "shape_partition",
         "two_row_char_recursive",
@@ -54,7 +52,6 @@ _EXPORTS = {
         "conjugate",
         "format_partition",
         "is_hook",
-        "merge_parts",
         "multiplicities",
         "parse_partition",
         "partitions_of",

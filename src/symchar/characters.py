@@ -47,10 +47,10 @@ __all__ = [
     "CharTable",
     "CharTableCacheError",
     "MAX_TABLE_N",
+    "MAX_MN_SHAPES",
     "SCHEMA_VERSION",
     "border_strip_removals",
     "mn_char",
-    "degree",
     "character_table",
     "reset_mn_memo",
     "mn_memo_size",
@@ -72,6 +72,13 @@ SCHEMA_VERSION = 2
 # Checked before any cache read or build, so a refusal costs nothing.  The
 # build's 64-bit slots would hold every value through n = 33.
 MAX_TABLE_N = 28
+
+# Most shapes one step of mn_char's sweep may hold; a wider step raises
+# ValueError.  Over (1^n), fresh processes, 2-vCPU Xeon, Python 3.11.7, two
+# runs each: (13, ..., 1) peaks at 96,757 shapes in 10-18 s, (14, ..., 2) at
+# 224,573 in 30-56 s, and (14, ..., 1) at 316,429 in 48-85 s, which the bound
+# refuses after 8 s.  (1000, 1000) over (1^2000) peaks at 501.
+MAX_MN_SHAPES = 250_000
 
 
 class RimHookRemoval(NamedTuple):
@@ -141,7 +148,8 @@ def mn_char(lam: Partition, mu: Partition) -> int:
     """Character value chi_lam(w_mu) for partitions lam, mu of the same n.
 
     The parts of lam and mu may come in any order; ValueError refuses a part
-    that is not a positive int, or a size mismatch.  Murnaghan-Nakayama rule:
+    that is not a positive int, a size mismatch, or a sweep with a step of
+    more than MAX_MN_SHAPES shapes.  Murnaghan-Nakayama rule:
     peel a border strip of each part of mu in turn, largest first, summing
     sign * count over all removals (see _mn).  Each value is memoized once
     per distinct (lam, mu) call; the memo persists across calls (grow-only).
@@ -177,6 +185,11 @@ def _mn(lam: Partition, mu: Partition) -> int:
                 odd = ((mask >> (bit.bit_length() - k)) & between).bit_count() & 1
                 reached[left] = reached.get(left, 0) + (-count if odd else count)
         counts = reached
+        if len(counts) > MAX_MN_SHAPES:
+            raise ValueError(
+                f"mn_char at n={sum(lam)}: a step of the sweep holds {len(counts)} shapes, "
+                f"past the bound MAX_MN_SHAPES = {MAX_MN_SHAPES}"
+            )
     return counts.get((1 << r) - 1, 0)
 
 
@@ -187,11 +200,6 @@ def reset_mn_memo() -> None:
 
 def mn_memo_size() -> int:
     return len(_MN_MEMO)
-
-
-def degree(lam: Partition) -> int:
-    """Dimension of the irreducible labelled by lam: its value at (1^n)."""
-    return mn_char(lam, (1,) * sum(lam))
 
 
 class CharTable(NamedTuple):
@@ -226,10 +234,6 @@ class CharTable(NamedTuple):
 
     def value(self, lam: Partition, mu: Partition) -> int:
         return self.values[self.index(lam)][self.index(mu)]
-
-    def degree(self, lam: Partition) -> int:
-        # identity class (1^n) is the last column in canonical order
-        return self.values[self.index(lam)][-1]
 
 
 def _level(m: int, n: int) -> dict[int, int]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from functools import lru_cache
 
 from .characters import CharTable
@@ -36,7 +37,6 @@ from .partitions import (
     Partition,
     as_partition,
     class_size,
-    merge_parts,
     partitions_of,
     sign_value,
 )
@@ -61,6 +61,14 @@ _MAX_POINTS = 256  # a class is stored with one byte per image
 
 class BruteForceLimitError(ValueError):
     """Raised when a brute-force enumeration is requested beyond its limit."""
+
+    @classmethod
+    def check(cls, n: int, limit: int) -> None:
+        """Refuse a class of S_n past limit, or past 256 points whatever the limit."""
+        if n > limit:
+            raise cls(f"brute force at n={n} exceeds limit {limit}")
+        if n > _MAX_POINTS:
+            raise cls(f"brute force at n={n} exceeds {_MAX_POINTS} points: each image is one byte")
 
 
 def class_representative(gamma: Partition) -> Perm:
@@ -87,14 +95,8 @@ def _class_members(mu: Partition) -> bytes:
     # from itertools.permutations.  A permutation fixes each such choice
     # uniquely, so each member of C_mu is built exactly once.  images is the
     # identity on every point no cycle is placed on, so once only parts of 1
-    # are left it is a member as it stands.
-    n = sum(mu)
-    if n > _MAX_POINTS:
-        raise BruteForceLimitError(
-            f"class enumeration at n={n} exceeds {_MAX_POINTS} points, "
-            "as each image is stored in one byte"
-        )
-    images = bytearray(range(n))
+    # are left it is a member as it stands.  Callers refuse n > 256 first.
+    images = bytearray(range(sum(mu)))
     members = bytearray()
 
     def place(free: tuple[int, ...], parts: tuple[int, ...]) -> None:
@@ -137,8 +139,7 @@ def conjugacy_class(mu: Partition, *, limit: int = BRUTE_FORCE_DEFAULT_LIMIT) ->
     """
     mu = as_partition(mu)
     n = sum(mu)
-    if n > limit:
-        raise BruteForceLimitError(f"class enumeration at n={n} exceeds limit {limit}")
+    BruteForceLimitError.check(n, limit)
     if not n:
         return ((),)  # S_0 is the one empty permutation
     return tuple(zip(*[iter(_class_members(mu))] * n))
@@ -202,8 +203,7 @@ def structure_constant_bruteforce(
     n = sum(mu)
     if sum(nu) != n or sum(gamma) != n:
         raise ValueError(f"classes must all partition the same n: {mu}, {nu}, {gamma}")
-    if n > limit:
-        raise BruteForceLimitError(f"brute force at n={n} exceeds limit {limit}")
+    BruteForceLimitError.check(n, limit)
     if not n:
         return 1  # S_0: the empty permutation alone, its own class and product
     if class_size(nu) < class_size(mu):
@@ -274,31 +274,24 @@ def predicted_coefficient(
 ) -> int | None:
     """Structure constant predicted when (mu, nu) covers all non-linear rows.
 
-    When every non-linear character vanishes on mu or on nu, only the trivial
-    and sign rows survive the character sum, which collapses to
-        2 |C_mu| |C_nu| / n!   when gamma is an odd class,
-        0                      when gamma is even.
+    When every non-linear character vanishes on mu or on nu, only the linear
+    rows survive the character sum, which collapses to
+        |C_mu| |C_nu| (1 + sign(mu) sign(nu) sign(gamma)) / n!
+    for n >= 2, and to |C_mu| |C_nu| / n! at n = 1, whose one row is both the
+    trivial and the sign row: the structure constant of every covering pair.
     Returns None when the covering hypothesis fails, since the collapse is
-    then unjustified.
-
-    The two-term collapse also uses sign(mu) * sign(nu) = -1, which every
-    covering pair with n > 6 satisfies.  The one degenerate covering pair
-    with equal signs, mu = nu = (2,1) at n = 3, falls outside the prediction:
-    there the returned value is not the true structure constant.
+    then unjustified; a collapse that is not an integer means an inconsistent
+    table and raises RuntimeError.
     """
     n = table.n
     if sum(mu) != n or sum(nu) != n or sum(gamma) != n:
         raise ValueError(f"classes must all partition {n}: {mu}, {nu}, {gamma}")
     if not covers_all_nonlinear(mu, nu, table):
         return None
-    if sign_value(gamma) == 1:
-        return 0
-    doubled = 2 * class_size(mu) * class_size(nu)
-    coeff, rem = divmod(doubled, math.factorial(n))
+    linear = 1 if n == 1 else 1 + sign_value(mu) * sign_value(nu) * sign_value(gamma)
+    coeff, rem = divmod(class_size(mu) * class_size(nu) * linear, math.factorial(n))
     if rem:
-        raise RuntimeError(
-            f"predicted coefficient 2|C_mu||C_nu|/{n}! is not integral for ({mu}, {nu})"
-        )
+        raise RuntimeError(f"predicted coefficient for ({mu}, {nu}, {gamma}) is not integral")
     return coeff
 
 
@@ -322,13 +315,11 @@ def merge_lemma_check(mu: Partition, nu: Partition) -> bool:
     That is: some parts a, b of mu merge into a part a+b of nu while the
     remaining parts agree as multisets.  This is the combinatorial relation
     forced between two classes whose product hits the transposition class.
+    As the sizes agree, it holds when mu has two parts that nu lacks and nu
+    one part that mu lacks, counted with multiplicity.
     """
-    mu = as_partition(mu)
-    nu = as_partition(nu)
+    mu, nu = as_partition(mu), as_partition(nu)
     if sum(mu) != sum(nu):
         raise ValueError(f"size mismatch: |{mu}| != |{nu}|")
-    for i in range(len(mu)):
-        for j in range(i + 1, len(mu)):
-            if merge_parts(mu, i, j) == nu:
-                return True
-    return False
+    lost, gained = Counter(mu) - Counter(nu), Counter(nu) - Counter(mu)
+    return lost.total() == 2 and gained.total() == 1

@@ -265,7 +265,11 @@ def _cmd_vanishing_pairs(args: argparse.Namespace) -> int:
 
 def _cmd_structure_constant(args: argparse.Namespace) -> int:
     from .characters import character_table
-    from .class_algebra import structure_constant, structure_constant_bruteforce
+    from .class_algebra import (
+        BruteForceLimitError,
+        structure_constant,
+        structure_constant_bruteforce,
+    )
     from .partitions import parse_partition
 
     mu = parse_partition(args.mu)
@@ -273,14 +277,16 @@ def _cmd_structure_constant(args: argparse.Namespace) -> int:
     gamma = parse_partition(args.gamma)
     if not (sum(mu) == sum(nu) == sum(gamma)):
         raise ValueError(f"mu, nu, gamma must partition the same n: {mu}, {nu}, {gamma}")
-    # counted first: a refusal past the brute-force limit reads no cache file
+    # a refusal past the brute-force limit reads no cache file, and one past
+    # the table limit (character_table's) comes before anything is counted
     if args.verify:
-        counted = structure_constant_bruteforce(mu, nu, gamma, limit=args.brute_force_limit)
+        BruteForceLimitError.check(sum(mu), args.brute_force_limit)
     value = structure_constant(mu, nu, gamma, character_table(sum(mu), cache_dir=args.cache_dir))
-    print(value)
     if not args.verify:
+        print(value)
         return EXIT_OK
-    print(counted)
+    counted = structure_constant_bruteforce(mu, nu, gamma, limit=args.brute_force_limit)
+    print(value, counted, sep="\n")
     if value != counted:
         _log(f"mismatch: character formula gave {value}, enumeration gave {counted}")
         return EXIT_VERIFY_FAILED

@@ -6,14 +6,15 @@ m_1, ..., m_4.  near_hook_value evaluates those polynomials exactly over the
 integers; every division is checked to be exact so a transcription error
 cannot round silently.
 
-induced_value gives the value at w_mu of the character induced from the
-trivial or sign character of a two-block Young subgroup S_{n-k} x S_k: the
-coefficient of t^k in prod_i (1 + s_i t^{mu_i}).  The two recursions built
-on that polynomial (hook shapes (n-k, 1^k) and two-row shapes (n-k, k))
-provide an evaluation route independent of the closed forms.  The two-row
-one is Young's rule: for 2k <= n the trivial character induced from
-S_{n-k} x S_k is the sum of chi_{(n-j,j)} over j <= k, so chi_{(n-k,k)} is
-the difference of the coefficients of t^k and t^(k-1).
+_induced_polynomial(inner, mu) gives the value at w_mu of the character
+induced from S_{n-k} x S_k, trivial on S_{n-k} and inner (trivial or sign)
+on S_k, for every k at once: the coefficients of prod_i (1 + s_i t^{mu_i}).
+The two recursions, for hook shapes (n-k, 1^k) and two-row shapes (n-k, k),
+read one such polynomial per call and are an evaluation route independent
+of the closed forms.  The two-row one is Young's rule: for 2k <= n the
+trivial character induced from S_{n-k} x S_k is the sum of chi_{(n-j,j)}
+over j <= k, so chi_{(n-k,k)} is the difference of the coefficients of t^k
+and t^(k-1).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "NearHookShape",
     "shape_partition",
     "near_hook_value",
-    "induced_value",
     "hook_char_recursive",
     "two_row_char_recursive",
 ]
@@ -110,34 +110,16 @@ def near_hook_value(shape: NearHookShape, mu: Partition) -> int:
 
 
 def _induced_polynomial(inner: str, mu: Partition) -> list[int]:
-    """Coefficients 0..n of prod_i (1 + s_i t^{mu_i}), s_i as in induced_value."""
+    """Coefficients 0..n of prod_i (1 + s_i t^{mu_i}) over the parts mu_i of mu.
+
+    s_i is 1 under inner="trivial" and (-1)^(mu_i - 1) under inner="sign".
+    """
     acc = [1] + [0] * sum(mu)
     for part in mu:
         # times (1 + s t^part) in one C-level pass; an even cycle is an odd permutation
         op = sub if inner == "sign" and part % 2 == 0 else add
         acc = [*acc[:part], *map(op, acc[part:], acc)]
     return acc
-
-
-def induced_value(k: int, inner: str, mu: Partition) -> int:
-    """Value at w_mu of the character induced to S_n from S_{n-k} x S_k.
-
-    inner selects the character of the S_k factor: "trivial" or "sign" (the
-    S_{n-k} factor always carries trivial).  The value is the coefficient of
-    t^k in prod_i (1 + s_i t^{mu_i}): each selection of cycles of mu with
-    total length k counts the inner character on them, a factor s_i = 1 per
-    selected cycle under trivial and s_i = (-1)^(mu_i - 1) under sign.
-
-    With inner="trivial" this is the permutation character counting k-subsets
-    fixed by w_mu; with k=n and inner="sign" it degenerates to sign_value(mu).
-    """
-    mu = as_partition(mu)
-    n = sum(mu)
-    if not 1 <= k <= n:
-        raise ValueError(f"induced_value needs 1 <= k <= {n}, got k={k}")
-    if inner not in ("trivial", "sign"):
-        raise ValueError(f"inner must be 'trivial' or 'sign', got {inner!r}")
-    return _induced_polynomial(inner, mu)[k]
 
 
 def hook_char_recursive(k: int, mu: Partition) -> int:

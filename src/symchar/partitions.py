@@ -3,8 +3,8 @@
 A partition is represented as a tuple of positive ints in weakly decreasing
 order, e.g. (5, 3, 1, 1).  The empty tuple () is the unique partition of 0 and
 is a legitimate value everywhere below; it matters as the base case of the
-character recursions.  The statistics below, conjugate and merge_parts read
-their partition through as_partition, so parts may come in any order and a
+character recursions.  The statistics below and conjugate read their
+partition through as_partition, so parts may come in any order and a
 part that is not a positive int raises ValueError.
 
 Partitions of n double as labels for the conjugacy classes of the symmetric
@@ -29,7 +29,6 @@ __all__ = [
     "class_size",
     "sign_value",
     "is_hook",
-    "merge_parts",
     "conjugate",
     "parse_partition",
     "format_partition",
@@ -129,23 +128,6 @@ def is_hook(p: Partition) -> bool:
     """True when p has the shape (a, 1, 1, ..., 1), i.e. second part <= 1."""
     p = as_partition(p)
     return len(p) <= 1 or p[1] <= 1
-
-
-def merge_parts(p: Partition, i: int, j: int) -> Partition:
-    """Replace the parts at positions i and j (0-based) by their sum.
-
-    merge_parts((3, 2, 1), 1, 2) == (3, 3); merge_parts((1, 1), 0, 1) == (2,).
-    The positions index p's canonical descending form, and the result is
-    re-sorted into that form.
-    """
-    p = as_partition(p)
-    if i == j:
-        raise ValueError("merge_parts needs two distinct part positions")
-    if not (0 <= i < len(p)) or not (0 <= j < len(p)):
-        raise ValueError(f"part index out of range for {p}: ({i}, {j})")
-    rest = [x for k, x in enumerate(p) if k != i and k != j]
-    rest.append(p[i] + p[j])
-    return tuple(sorted(rest, reverse=True))
 
 
 def conjugate(p: Partition) -> Partition:

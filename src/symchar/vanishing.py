@@ -38,15 +38,11 @@ class CoveringPairReport(NamedTuple):
     n: int
     pairs: tuple[Pair, ...]
 
-    def degenerate_pairs(self) -> tuple[Pair, ...]:
-        """The pairs with mu = nu (a single class covering on its own)."""
-        return tuple((mu, nu) for mu, nu in self.pairs if mu == nu)
-
     @property
     def k_value(self) -> int | None:
         """Least size of covering set: 1, 2, or None when no pair covers."""
         # a single class covers exactly when it covers paired with itself
-        return 1 if self.degenerate_pairs() else 2 if self.pairs else None
+        return 1 if any(mu == nu for mu, nu in self.pairs) else 2 if self.pairs else None
 
     @property
     def vacuous(self) -> bool:

@@ -214,8 +214,8 @@ def induced_oracle(k: int, inner: str, mu: tuple[int, ...]) -> int:
 
 # --- induced characters by a binomial DP over cycle multiplicities -----------
 #
-# The package's induced_value before it read the coefficients of one product
-# polynomial, kept verbatim apart from the local multiplicity count.
+# The package's induced-character value before it read the coefficients of
+# one product polynomial, kept verbatim apart from the local multiplicity count.
 
 
 def induced_binomial_oracle(k: int, inner: str, mu: tuple[int, ...]) -> int:
@@ -236,6 +236,21 @@ def induced_binomial_oracle(k: int, inner: str, mu: tuple[int, ...]) -> int:
                     nxt[total + step] += acc[total] * weight
         acc = nxt
     return acc[k]
+
+
+# --- the merge relation by its positional definition ---------------------------
+
+
+def merged_by_position(mu: tuple[int, ...], nu: tuple[int, ...]) -> bool:
+    """Whether nu is mu with the parts at two positions replaced by their sum.
+
+    Both are taken in descending order; every pair of positions is tried.
+    """
+    for i, j in itertools.combinations(range(len(mu)), 2):
+        rest = [part for k, part in enumerate(mu) if k not in (i, j)]
+        if tuple(sorted([*rest, mu[i] + mu[j]], reverse=True)) == nu:
+            return True
+    return False
 
 
 # --- covering pairs by a direct per-row scan ----------------------------------

@@ -21,7 +21,6 @@ from symchar import (
     character_table,
     class_size,
     conjugate,
-    degree,
     is_hook,
     load_table,
     mn_char,
@@ -70,7 +69,7 @@ def test_hook_length_multiset_gives_degree():
             for r in range(len(p)):
                 for c in range(p[r]):
                     prod *= p[r] - c + sum(1 for below in p[r + 1 :] if below > c)
-            assert math.factorial(n) // prod == degree(p)
+            assert math.factorial(n) // prod == mn_char(p, (1,) * n)
 
 
 def test_border_strip_removals_frozen_examples():
@@ -211,10 +210,23 @@ def test_sign_character_is_mn_of_column_partition():
 def test_degrees_match_hook_product_oracle():
     for n in range(1, 11):
         for p in partitions_of(n):
-            assert degree(p) == degree_by_hooks(p)
-    assert degree((6, 1)) == 6
-    assert degree((1,) * 7) == 1
-    assert degree((7,)) == 1
+            assert mn_char(p, (1,) * n) == degree_by_hooks(p)
+    assert mn_char((6, 1), (1,) * 7) == 6
+    assert mn_char((1,) * 7, (1,) * 7) == 1
+    assert mn_char((7,), (1,) * 7) == 1
+
+
+def test_mn_sweep_refuses_a_step_past_its_width_bound(monkeypatch):
+    import symchar.characters as characters
+
+    # the staircase (4, 3, 2, 1) over (1^10) peaks at 7 shapes in one step
+    monkeypatch.setattr(characters, "_MN_MEMO", {})
+    monkeypatch.setattr(characters, "MAX_MN_SHAPES", 7)
+    assert mn_char((4, 3, 2, 1), (1,) * 10) == 768
+    characters._MN_MEMO.clear()
+    monkeypatch.setattr(characters, "MAX_MN_SHAPES", 6)
+    with pytest.raises(ValueError, match="holds 7 shapes, past the bound MAX_MN_SHAPES = 6"):
+        mn_char((4, 3, 2, 1), (1,) * 10)
 
 
 def test_degree_bounds_and_positivity():
@@ -363,7 +375,7 @@ def test_table_build_leaves_mn_memo_untouched():
 
 def test_table_lookup_helpers():
     t = character_table(5)
-    assert t.degree((3, 2)) == 5
+    assert t.value((3, 2), (1,) * 5) == 5
     assert t.value((4, 1), (5,)) == -1
     # a label may list its parts in any order; a part that is not positive is refused
     assert t.value((1, 4), (5,)) == -1

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from oracles import perm_cycle_type, structure_constant_oracle
+from oracles import merged_by_position, perm_cycle_type, structure_constant_oracle
 from symchar import (
     BruteForceLimitError,
     class_representative,
@@ -13,6 +13,7 @@ from symchar import (
     conjugacy_class,
     covers_all_nonlinear,
     deterministic_triples,
+    find_covering_pairs,
     merge_lemma_check,
     partitions_of,
     predicted_coefficient,
@@ -343,11 +344,11 @@ def test_predicted_coefficient_refuses_what_it_cannot_predict(table_for):
     with pytest.raises(ValueError, match="must all partition 4"):
         predicted_coefficient((3,), (2, 1), (3,), t4)
     # chi_(2,2) set to 0 at (3,1) makes ((3,1), (3,1)) a covering pair of the
-    # damaged table, and 2*8*8/4! is not an integer
+    # damaged table, and at the even class (1^4) 2*8*8/4! is not an integer
     damaged = _with_entry(t4, (2, 2), (3, 1), 0)
     assert covers_all_nonlinear((3, 1), (3, 1), damaged)
     with pytest.raises(RuntimeError, match="not integral"):
-        predicted_coefficient((3, 1), (3, 1), (2, 1, 1), damaged)
+        predicted_coefficient((3, 1), (3, 1), (1, 1, 1, 1), damaged)
 
 
 def test_predicted_coefficient_matches_structure_constant_on_covering_pair(table_for):
@@ -357,6 +358,18 @@ def test_predicted_coefficient_matches_structure_constant_on_covering_pair(table
         assert predicted == structure_constant((7,), (6, 1), gamma, t7)
 
 
+def test_predicted_coefficient_is_exact_on_every_covering_pair(table_for):
+    # below n = 7 the covering pairs include ones of equal signs, such as
+    # ((2,), (2,)) and ((2,1), (2,1)), and at n = 1 the one linear row is
+    # both the trivial and the sign row
+    for n in range(1, 9):
+        table = table_for(n)
+        for mu, nu in find_covering_pairs(table).pairs:
+            for gamma in partitions_of(n):
+                want = structure_constant(mu, nu, gamma, table)
+                assert predicted_coefficient(mu, nu, gamma, table) == want, (mu, nu, gamma)
+
+
 def test_merge_lemma_check_examples():
     assert merge_lemma_check((3, 2, 1), (3, 3))
     assert merge_lemma_check((6, 1), (7,))
@@ -364,8 +377,19 @@ def test_merge_lemma_check_examples():
     assert not merge_lemma_check((4, 4), (5, 3))
     assert not merge_lemma_check((3, 3), (3, 2, 1))  # splitting, not merging
     assert not merge_lemma_check((4, 2), (4, 2))
+    assert merge_lemma_check((5, 4, 2), (7, 4))
+    assert merge_lemma_check((1, 1), (2,))
+    assert merge_lemma_check((2, 2, 2), (4, 2))
     with pytest.raises(ValueError):
         merge_lemma_check((3, 2), (3, 3))
+
+
+def test_merge_lemma_check_matches_the_positional_definition():
+    for n in range(1, 11):
+        classes = partitions_of(n)
+        for mu in classes:
+            for nu in classes:
+                assert merge_lemma_check(mu, nu) == merged_by_position(mu, nu), (mu, nu)
 
 
 def test_merge_related_pairs_with_positive_transposition_coefficient(table_for):

@@ -447,6 +447,18 @@ def test_eval_refuses_a_partition_past_the_size_budget(cache, capsys):
     assert "size budget" in captured.err
 
 
+def test_eval_refuses_a_sweep_past_its_width_bound(cache, capsys, monkeypatch):
+    import symchar.characters as characters_module
+
+    monkeypatch.setattr(characters_module, "_MN_MEMO", {})
+    monkeypatch.setattr(characters_module, "MAX_MN_SHAPES", 6)
+    code = main(["--cache-dir", cache, "eval", "--lambda", "4,3,2,1", "--mu", "1^10"])
+    assert code == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: mn_char at n=10") and captured.err.count("\n") == 1
+
+
 def test_eval_methods_agree(cache, capsys):
     # the last four are the smallest n of their shapes; in 1,1 and 2,2 the
     # first row equals the tail
@@ -583,6 +595,32 @@ def test_structure_constant_verify_stops_at_256_points(cache, capsys):
     assert "256 points" in captured.err
 
 
+@pytest.mark.parametrize("mu", ["29", "3,1^26"])
+def test_structure_constant_verify_refuses_past_the_table_limit_before_counting(
+    cache, capsys, monkeypatch, mu
+):
+    # within the brute-force limit, but the table of S_29 is past its limit:
+    # refused with character_table's message before any class is walked
+    import symchar.class_algebra as class_algebra_module
+
+    calls = []
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("counted past the table limit")
+
+    monkeypatch.setattr(class_algebra_module, "structure_constant_bruteforce", count)
+    argv = [
+        "--cache-dir", cache, "--brute-force-limit", "300",
+        "structure-constant", "--mu", mu, "--nu", mu, "--gamma", mu, "--verify",
+    ]
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: character_table at n=29 is past the table limit 28\n"
+
+
 def test_structure_constant_mismatch_exit_code(cache, capsys, monkeypatch):
     # the CLI imports the function from class_algebra when the command runs
     import symchar.class_algebra as class_algebra_module
@@ -610,7 +648,7 @@ def test_structure_constant_on_an_inconsistent_cached_table_fails_the_check(cach
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
     assert "does not divide" in captured.err
-    # with --verify the count comes first; the table then fails before anything is printed
+    # with --verify the table fails before anything is counted or printed
     assert main([*argv, "--verify"]) == EXIT_VERIFY_FAILED
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -6,7 +6,6 @@ from symchar import (
     class_representative,
     conjugacy_class,
     hook_char_recursive,
-    induced_value,
     mn_char,
     near_hook_value,
     partitions_of,
@@ -14,7 +13,7 @@ from symchar import (
     sign_value,
     two_row_char_recursive,
 )
-from symchar.formulas import _exact_div
+from symchar.formulas import _exact_div, _induced_polynomial
 
 # minimal n at which each shape instantiates to a weakly decreasing sequence
 MIN_N = {
@@ -81,13 +80,16 @@ def test_formulas_agree_with_mn_everywhere_valid():
 
 
 def test_induced_value_examples():
-    assert induced_value(2, "trivial", (2, 1, 1)) == 2
+    # the induced characters' values are the coefficients of one polynomial
+    assert _induced_polynomial("trivial", (2, 1, 1))[2] == 2
     for n in range(1, 9):
         for mu in partitions_of(n):
             m1 = sum(1 for part in mu if part == 1)
-            assert induced_value(1, "trivial", mu) == m1
-            assert induced_value(n, "trivial", mu) == 1
-            assert induced_value(n, "sign", mu) == sign_value(mu)
+            trivial = _induced_polynomial("trivial", mu)
+            assert len(trivial) == n + 1 and trivial[0] == 1
+            assert trivial[1] == m1
+            assert trivial[n] == 1
+            assert _induced_polynomial("sign", mu)[n] == sign_value(mu)
 
 
 def test_induced_value_matches_subset_enumeration_oracle():
@@ -95,20 +97,18 @@ def test_induced_value_matches_subset_enumeration_oracle():
         for mu in partitions_of(n):
             for k in range(1, n + 1):
                 for inner in ("trivial", "sign"):
-                    assert induced_value(k, inner, mu) == induced_oracle(k, inner, mu), (
-                        k,
-                        inner,
-                        mu,
-                    )
+                    got = _induced_polynomial(inner, mu)[k]
+                    assert got == induced_oracle(k, inner, mu), (k, inner, mu)
 
 
 def test_induced_value_matches_the_binomial_dp_through_n_16():
     for n in range(1, 17):
         for mu in partitions_of(n):
             for inner in ("trivial", "sign"):
+                coefficients = _induced_polynomial(inner, mu)
                 for k in range(1, n + 1):
                     want = induced_binomial_oracle(k, inner, mu)
-                    assert induced_value(k, inner, mu) == want, (k, inner, mu)
+                    assert coefficients[k] == want, (k, inner, mu)
 
 
 def test_each_recursion_call_builds_one_polynomial(monkeypatch):
@@ -130,15 +130,6 @@ def test_each_recursion_call_builds_one_polynomial(monkeypatch):
     assert built == ["trivial"]
 
 
-def test_induced_value_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        induced_value(0, "trivial", (3, 1))
-    with pytest.raises(ValueError):
-        induced_value(5, "trivial", (3, 1))
-    with pytest.raises(ValueError):
-        induced_value(2, "alternating", (3, 1))
-
-
 @pytest.mark.parametrize(
     "call",
     [
@@ -146,12 +137,11 @@ def test_induced_value_rejects_bad_arguments():
         # route that answered here would answer for no class of S_n
         lambda: two_row_char_recursive(1, (1, 1, 0)),
         lambda: hook_char_recursive(1, (1, 1, 0)),
-        lambda: induced_value(2, "trivial", (2, 0)),
         lambda: near_hook_value(NearHookShape.R1, (1.5, 1.5)),
         lambda: conjugacy_class((0,)),
         lambda: class_representative((2, -1)),
     ],
-    ids=["two-row", "hook", "induced", "near-hook", "conjugacy-class", "representative"],
+    ids=["two-row", "hook", "near-hook", "conjugacy-class", "representative"],
 )
 def test_library_calls_refuse_non_partitions(call):
     with pytest.raises(ValueError, match="positive integers"):

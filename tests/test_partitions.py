@@ -13,7 +13,6 @@ from symchar import (
     conjugate,
     format_partition,
     is_hook,
-    merge_parts,
     multiplicities,
     parse_partition,
     partitions_of,
@@ -110,34 +109,6 @@ def test_is_hook():
         assert sum(1 for p in partitions_of(n) if is_hook(p)) == n
 
 
-def test_merge_parts_examples():
-    assert merge_parts((3, 2, 1), 1, 2) == (3, 3)
-    assert merge_parts((5, 4, 2), 0, 2) == (7, 4)
-    assert merge_parts((1, 1), 0, 1) == (2,)
-    assert merge_parts((2, 2, 2), 2, 0) == (4, 2)
-
-
-def test_merge_parts_preserves_total():
-    for n in range(2, 9):
-        for p in partitions_of(n):
-            for i in range(len(p)):
-                for j in range(len(p)):
-                    if i == j:
-                        continue
-                    merged = merge_parts(p, i, j)
-                    assert sum(merged) == n
-                    assert len(merged) == len(p) - 1
-
-
-def test_merge_parts_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        merge_parts((3, 2), 0, 0)
-    with pytest.raises(ValueError):
-        merge_parts((3, 2), 0, 2)
-    with pytest.raises(ValueError):
-        merge_parts((3, 2), -1, 1)
-
-
 @pytest.mark.parametrize(
     "call, expected",
     [
@@ -148,7 +119,6 @@ def test_merge_parts_rejects_bad_indices():
         (lambda: class_size((1, 3, 2)), 120),
         (lambda: sign_value((1, 2)), -1),
         (lambda: multiplicities((1, 2, 1)), {2: 1, 1: 2}),
-        (lambda: merge_parts((1, 2, 3), 0, 1), (5, 1)),
         (lambda: merge_lemma_check((1, 1, 2), (2, 2)), True),
         # a part that is not a positive int names no class of S_n
         (lambda: conjugate((2, 0)), ValueError),
@@ -157,7 +127,6 @@ def test_merge_parts_rejects_bad_indices():
         (lambda: class_size((2, 0)), ValueError),
         (lambda: sign_value((2, -1)), ValueError),
         (lambda: multiplicities((1.5,)), ValueError),
-        (lambda: merge_parts((2, 0), 0, 1), ValueError),
         (lambda: merge_lemma_check((2, 0), (2,)), ValueError),
     ],
     ids=[
@@ -165,7 +134,7 @@ def test_merge_parts_rejects_bad_indices():
         for kind in ("unsorted", "bad")
         for name in (
             "conjugate", "hook", "centralizer", "class-size",
-            "sign", "multiplicities", "merge", "merge-lemma",
+            "sign", "multiplicities", "merge-lemma",
         )
     ],
 )

@@ -63,7 +63,6 @@ def test_find_covering_pairs_n3(table_for):
     assert report.k_value == 1
     assert report.matches_theorem is None
     assert not report.vacuous
-    assert report.degenerate_pairs() == (((2, 1), (2, 1)),)
 
 
 def test_find_covering_pairs_n4(table_for):
@@ -73,7 +72,6 @@ def test_find_covering_pairs_n4(table_for):
         ((3, 1), (2, 1, 1)),
     )
     assert report.k_value == 2
-    assert report.degenerate_pairs() == ()
 
 
 def test_find_covering_pairs_small_n_vacuous(table_for):
@@ -100,7 +98,6 @@ def test_theorem_range_has_unique_pair(table_for):
         assert report.pairs == (((n,), (n - 1, 1)),)
         assert report.k_value == 2
         assert report.matches_theorem is True
-        assert report.degenerate_pairs() == ()
         assert not report.vacuous
 
 
