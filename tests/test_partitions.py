@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import partition_count, perm_sign_by_inversions, rep_of_type
+from oracles import merged_by_position, partition_count, perm_sign_by_inversions, rep_of_type
 from symchar import (
     centralizer_order,
     merge_lemma_check,
@@ -107,6 +107,23 @@ def test_is_hook():
     assert not is_hook((5, 3, 1))
     for n in range(1, 11):
         assert sum(1 for p in partitions_of(n) if is_hook(p)) == n
+
+
+def test_merge_parts_examples():
+    # (p, i, j, q): q is p with the parts at positions i and j replaced by
+    # their sum; merge_lemma_check sees each merge from the two classes alone
+    examples = [
+        ((3, 2, 1), 1, 2, (3, 3)),
+        ((5, 4, 2), 0, 2, (7, 4)),
+        ((1, 1), 0, 1, (2,)),
+        ((2, 2, 2), 2, 0, (4, 2)),
+    ]
+    for p, i, j, q in examples:
+        rest = [part for k, part in enumerate(p) if k not in (i, j)]
+        assert tuple(sorted([*rest, p[i] + p[j]], reverse=True)) == q
+        assert merged_by_position(p, q)
+        assert merge_lemma_check(p, q)
+        assert not merge_lemma_check(q, p)
 
 
 @pytest.mark.parametrize(
