@@ -61,8 +61,6 @@ _EXPORTS = {
         "CoveringPairReport",
         "covers_all_nonlinear",
         "find_covering_pairs",
-        "k_of_sn",
-        "vanishing_set",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -364,14 +364,15 @@ def _row_struct(width: int) -> struct.Struct:
 def character_table(n: int, *, cache_dir: str | Path | None = None) -> CharTable:
     """Character table of S_n in canonical order.
 
-    n past MAX_TABLE_N raises ValueError before any cache read or build.
+    An n that is not an int of at least 1, or is past MAX_TABLE_N, raises
+    ValueError before any cache read or build.
     With cache_dir set, an existing cache file for this n is loaded (a
     corrupt file, or one holding the table of another n, raises
     CharTableCacheError rather than being silently recomputed); otherwise the
     table is computed and saved there.
     """
-    if n < 1:
-        raise ValueError(f"character_table needs n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"character_table needs an int n >= 1, got {n!r}")
     if n > MAX_TABLE_N:
         raise ValueError(f"character_table at n={n} is past the table limit {MAX_TABLE_N}")
     path: Path | None = None

@@ -145,6 +145,22 @@ def conjugacy_class(mu: Partition, *, limit: int = BRUTE_FORCE_DEFAULT_LIMIT) ->
     return tuple(zip(*[iter(_class_members(mu))] * n))
 
 
+def _class_triple(
+    mu: Partition, nu: Partition, gamma: Partition, n: int | None = None
+) -> tuple[Partition, Partition, Partition]:
+    """mu, nu and gamma through as_partition, refused unless all three partition n.
+
+    With n None, they must all partition one same n.  Every part is checked
+    before any size is summed, so a bad part raises ValueError, never TypeError.
+    """
+    triple = as_partition(mu), as_partition(nu), as_partition(gamma)
+    sizes = {sum(p) for p in triple}
+    if len(sizes) > 1 or (n is not None and sizes != {n}):
+        where = "the same n" if n is None else n
+        raise ValueError(f"classes must all partition {where}: {mu}, {nu}, {gamma}")
+    return triple
+
+
 def structure_constant(mu: Partition, nu: Partition, gamma: Partition, table: CharTable) -> int:
     """Class-algebra coefficient a_{mu,nu}^gamma from character data.
 
@@ -156,8 +172,7 @@ def structure_constant(mu: Partition, nu: Partition, gamma: Partition, table: Ch
     character table itself is inconsistent and raises RuntimeError.
     """
     n = table.n
-    if sum(mu) != n or sum(nu) != n or sum(gamma) != n:
-        raise ValueError(f"classes must all partition {n}: {mu}, {nu}, {gamma}")
+    mu, nu, gamma = _class_triple(mu, nu, gamma, n)
     i_mu, i_nu, i_g = table.index(mu), table.index(nu), table.index(gamma)
     group_order = math.factorial(n)
     total = 0
@@ -199,10 +214,8 @@ def structure_constant_bruteforce(
     count; a division that leaves a remainder means the enumeration missed or
     repeated a member, and raises RuntimeError.
     """
-    mu, nu, gamma = as_partition(mu), as_partition(nu), as_partition(gamma)
+    mu, nu, gamma = _class_triple(mu, nu, gamma)
     n = sum(mu)
-    if sum(nu) != n or sum(gamma) != n:
-        raise ValueError(f"classes must all partition the same n: {mu}, {nu}, {gamma}")
     BruteForceLimitError.check(n, limit)
     if not n:
         return 1  # S_0: the empty permutation alone, its own class and product
@@ -284,8 +297,7 @@ def predicted_coefficient(
     table and raises RuntimeError.
     """
     n = table.n
-    if sum(mu) != n or sum(nu) != n or sum(gamma) != n:
-        raise ValueError(f"classes must all partition {n}: {mu}, {nu}, {gamma}")
+    mu, nu, gamma = _class_triple(mu, nu, gamma, n)
     if not covers_all_nonlinear(mu, nu, table):
         return None
     linear = 1 if n == 1 else 1 + sign_value(mu) * sign_value(nu) * sign_value(gamma)

@@ -412,26 +412,28 @@ def _check_structure(n: int, args: argparse.Namespace) -> list[str]:
     return problems
 
 
-def _beyond_table(n: int) -> str | None:
+# (suite, check) in output order
+_SUITES = (
+    ("theorem", _check_theorem),
+    ("orthogonality", _check_orthogonality),
+    ("formulas", _check_formulas),
+    ("structure", _check_structure),
+)
+
+
+def _skip_reason(suite: str, n: int, args: argparse.Namespace) -> str | None:
+    """Why suite does not run at n, or None: its own rule first, then the table limit.
+
+    Every suite reads a table or compares with mn_char on every class of n,
+    so none runs past characters.MAX_TABLE_N.
+    """
     from .characters import MAX_TABLE_N
 
-    return f"beyond table limit {MAX_TABLE_N}" if n > MAX_TABLE_N else None
-
-
-def _skip_structure(n: int, args: argparse.Namespace) -> str | None:
-    if n > args.brute_force_limit:
+    if suite == "theorem" and n <= 6:
+        return "theorem range is n > 6"
+    if suite == "structure" and n > args.brute_force_limit:
         return f"beyond brute-force limit {args.brute_force_limit}"
-    return _beyond_table(n)
-
-
-# (suite, check, skip rule) in output order; the rule gives a SKIP reason or None
-_SUITES = (
-    ("theorem", _check_theorem,
-     lambda n, args: "theorem range is n > 6" if n <= 6 else _beyond_table(n)),
-    ("orthogonality", _check_orthogonality, lambda n, args: _beyond_table(n)),
-    ("formulas", _check_formulas, lambda n, args: None),
-    ("structure", _check_structure, _skip_structure),
-)
+    return f"beyond table limit {MAX_TABLE_N}" if n > MAX_TABLE_N else None
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -442,11 +444,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max > MAX_PARTITION_SIZE:
         raise ValueError(f"n-max {args.n_max} is past the size budget {MAX_PARTITION_SIZE}")
     passed = True
-    for suite, check, skip in _SUITES:
+    for suite, check in _SUITES:
         if args.suite not in (suite, "all"):
             continue
         for n in range(args.n_min, args.n_max + 1):
-            reason = skip(n, args)
+            reason = _skip_reason(suite, n, args)
             if reason is None:
                 passed &= _run_check(f"{suite} n={n}", lambda: check(n, args))
             else:
@@ -473,7 +475,8 @@ def _exit_code(error: Exception) -> int:
     if isinstance(error, ValueError):
         return EXIT_INVALID_INPUT
     # any other RuntimeError: a table that loaded but fails a consistency
-    # check (structure_constant)
+    # check (structure_constant, predicted_coefficient, or the two linear-row
+    # criteria of vanishing._nonlinear_rows)
     return EXIT_VERIFY_FAILED
 
 

@@ -51,11 +51,13 @@ def shape_partition(shape: NearHookShape, n: int) -> Partition:
 
     Valid only when the first row n - |tail| keeps the sequence weakly
     decreasing; anything else raises rather than silently evaluating a
-    polynomial outside its range.  A shape that is not a NearHookShape
-    raises ValueError too.
+    polynomial outside its range.  A shape that is not a NearHookShape, or
+    an n that is not an int, raises ValueError too.
     """
     if not isinstance(shape, NearHookShape):
         raise ValueError(f"unknown shape {shape!r}")
+    if type(n) is not int:
+        raise ValueError(f"shape size must be an int, got {n!r}")
     tail = shape.value
     first = n - sum(tail)
     if first < tail[0]:
@@ -130,8 +132,8 @@ def hook_char_recursive(k: int, mu: Partition) -> int:
     """
     mu = as_partition(mu)
     n = sum(mu)
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"hook tail length must satisfy 0 <= k <= {n - 1}, got {k}")
+    if type(k) is not int or not 0 <= k <= n - 1:
+        raise ValueError(f"hook tail length must be an int 0 <= k <= {n - 1}, got {k!r}")
     induced = _induced_polynomial("sign", mu)
     value = 1
     for j in range(1, k + 1):
@@ -149,7 +151,7 @@ def two_row_char_recursive(k: int, mu: Partition) -> int:
     """
     mu = as_partition(mu)
     n = sum(mu)
-    if k < 0 or 2 * k > n:
-        raise ValueError(f"second row must satisfy 0 <= k <= {n}/2, got {k}")
+    if type(k) is not int or k < 0 or 2 * k > n:
+        raise ValueError(f"second row must be an int 0 <= k <= {n}/2, got {k!r}")
     induced = _induced_polynomial("trivial", mu)
     return induced[k] - induced[k - 1] if k else 1

@@ -6,7 +6,7 @@ mu or on nu.  find_covering_pairs(table) scans every pair of columns once
 and returns a CoveringPairReport of (n, pairs); every other answer (the least
 size of covering set, the match against the theorem's {(n), (n-1,1)} for
 n > 6, and the diagnostics naming the pairs that break it) is read off those
-pairs.
+pairs.  covers_all_nonlinear applies the scan's rule to one pair alone.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ from .partitions import Partition
 
 __all__ = [
     "CoveringPairReport",
-    "vanishing_set",
     "covers_all_nonlinear",
     "find_covering_pairs",
-    "k_of_sn",
 ]
 
 Pair = tuple[Partition, Partition]
@@ -90,12 +88,6 @@ def _nonlinear_rows(table: CharTable) -> list[int]:
     return rows
 
 
-def vanishing_set(lam: Partition, table: CharTable) -> frozenset[Partition]:
-    """All classes mu with chi_lam(w_mu) = 0."""
-    row = table.values[table.index(lam)]
-    return frozenset(mu for mu, value in zip(table.order, row) if value == 0)
-
-
 # bytes 0 and 1 to the digits "0" and "1", for int(..., 2)
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -131,19 +123,3 @@ def find_covering_pairs(table: CharTable) -> CoveringPairReport:
     for a, mask in enumerate(masks):
         pairs.extend((order[a], order[b]) for b in range(a, len(order)) if not mask & masks[b])
     return CoveringPairReport(n=table.n, pairs=tuple(pairs))
-
-
-def k_of_sn(table: CharTable) -> int:
-    """Least number of classes needed to kill all non-linear characters.
-
-    Defined for n >= 3.  Returns 1 when one class suffices (n = 3 only, via
-    the class (2,1)), otherwise 2 when some pair covers; anything else raises
-    because no S_n with n >= 3 should ever get there.
-    """
-    n = table.n
-    if n < 3:
-        raise ValueError(f"k_of_sn is defined for n >= 3, got {n}")
-    k_value = find_covering_pairs(table).k_value
-    if k_value is None:
-        raise RuntimeError(f"no covering pair of classes exists for n={n}; this contradicts theory")
-    return k_value

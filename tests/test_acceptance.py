@@ -19,7 +19,6 @@ from symchar import (
     find_covering_pairs,
     hook_char_recursive,
     is_hook,
-    k_of_sn,
     merge_lemma_check,
     mn_char,
     near_hook_value,
@@ -61,7 +60,7 @@ def test_02_two_classes_needed_for_n_7_to_12(table_for):
     with criterion("k(S_n) = 2 for n=7..12: no single class covers, a pair does"):
         for n in range(7, 13):
             t = table_for(n)
-            assert k_of_sn(t) == 2
+            assert find_covering_pairs(t).k_value == 2
             for mu in partitions_of(n):
                 assert not covers_all_nonlinear(mu, mu, t), (n, mu)
 

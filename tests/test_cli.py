@@ -747,9 +747,32 @@ def test_verify_skips_table_suites_beyond_the_table_limit(cache, capsys, monkeyp
         "PASS orthogonality n=7",
         "SKIP orthogonality n=8 (beyond table limit 7)",
         "PASS formulas n=7",
-        "PASS formulas n=8",
+        "SKIP formulas n=8 (beyond table limit 7)",
         "PASS structure n=7",
         "SKIP structure n=8 (beyond table limit 7)",
+    ]
+
+
+def test_verify_formulas_skips_past_the_table_limit(cache, capsys):
+    # the suite calls mn_char on every class of n, so it stops where the
+    # tables stop instead of running on through p(n) classes
+    code = main(["--cache-dir", cache, "verify", "--suite", "formulas", "--n-min", "29", "--n-max", "29"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "SKIP formulas n=29 (beyond table limit 28)\n"
+
+
+def test_verify_theorem_fails_when_no_pair_covers(cache, capsys):
+    # chi_(6,1) set to its degree everywhere vanishes on no class of S_7,
+    # so no pair of classes covers
+    table = character_table(7)
+    values = list(table.values)
+    values[table.index((6, 1))] = (6,) * len(table.order)
+    save_table(table._replace(values=tuple(values)), table_cache_path(cache, 7))
+    code = main(["--cache-dir", cache, "verify", "--suite", "theorem", "--n-min", "7", "--n-max", "7"])
+    assert code == EXIT_VERIFY_FAILED
+    assert _verify_lines(capsys.readouterr().out) == [
+        "FAIL theorem n=7",
+        "     expected covering pair not found: (7,) , (6, 1)",
     ]
 
 

@@ -3,14 +3,18 @@ import pytest
 from oracles import degree_by_hooks, induced_binomial_oracle, induced_oracle
 from symchar import (
     NearHookShape,
+    character_table,
     class_representative,
     conjugacy_class,
     hook_char_recursive,
     mn_char,
     near_hook_value,
     partitions_of,
+    predicted_coefficient,
     shape_partition,
     sign_value,
+    structure_constant,
+    structure_constant_bruteforce,
     two_row_char_recursive,
 )
 from symchar.formulas import _exact_div, _induced_polynomial
@@ -140,11 +144,38 @@ def test_each_recursion_call_builds_one_polynomial(monkeypatch):
         lambda: near_hook_value(NearHookShape.R1, (1.5, 1.5)),
         lambda: conjugacy_class((0,)),
         lambda: class_representative((2, -1)),
+        # each part of all three classes is read before any size is summed
+        lambda: structure_constant(("x",), (3,), (3,), character_table(3)),
+        lambda: structure_constant((3,), (2.5, 0.5), (3,), character_table(3)),
+        lambda: predicted_coefficient(("x",), (3,), (3,), character_table(3)),
+        lambda: predicted_coefficient((3,), (3,), (2.5, 0.5), character_table(3)),
+        lambda: structure_constant_bruteforce(("x",), (3,), (3,)),
+        lambda: structure_constant_bruteforce((3,), (2.5, 0.5), (3,)),
     ],
-    ids=["two-row", "hook", "near-hook", "conjugacy-class", "representative"],
+    ids=[
+        "two-row", "hook", "near-hook", "conjugacy-class", "representative",
+        "structure-constant-str", "structure-constant-float", "predicted-str",
+        "predicted-float", "bruteforce-str", "bruteforce-float",
+    ],
 )
 def test_library_calls_refuse_non_partitions(call):
     with pytest.raises(ValueError, match="positive integers"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: character_table(True),
+        lambda: character_table(3.0),
+        lambda: shape_partition(NearHookShape.R1, 3.5),
+        lambda: hook_char_recursive(1.0, (2, 1)),
+        lambda: two_row_char_recursive(True, (2, 1)),
+    ],
+    ids=["table-bool", "table-float", "shape-float", "hook-float", "two-row-bool"],
+)
+def test_library_calls_refuse_a_non_int_size(call):
+    with pytest.raises(ValueError, match=r"\ban int\b"):
         call()
 
 

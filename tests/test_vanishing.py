@@ -9,38 +9,37 @@ from symchar import (
     character_table,
     covers_all_nonlinear,
     find_covering_pairs,
-    k_of_sn,
     mn_char,
     partitions_of,
     sign_value,
-    vanishing_set,
 )
 
 
-def test_vanishing_set_examples(table_for):
+def _zero_set(lam, table):
+    """The classes on which chi_lam vanishes, read off its row."""
+    row = table.values[table.index(lam)]
+    return {mu for mu, value in zip(table.order, row) if value == 0}
+
+
+def test_zero_sets_of_small_rows(table_for):
     t3 = table_for(3)
-    assert vanishing_set((2, 1), t3) == {(2, 1)}
-    assert vanishing_set((3,), t3) == set()
-    assert vanishing_set((1, 1, 1), t3) == set()
+    assert _zero_set((2, 1), t3) == {(2, 1)}
+    assert _zero_set((3,), t3) == set()
+    assert _zero_set((1, 1, 1), t3) == set()
     t4 = table_for(4)
-    assert vanishing_set((2, 2), t4) == {(4,), (2, 1, 1)}
-    assert vanishing_set((3, 1), t4) == {(3, 1)}
-    assert vanishing_set((2, 1, 1), t4) == {(3, 1)}
-    assert vanishing_set((1, 3), t4) == {(3, 1)}  # parts in any order
-
-
-def test_vanishing_set_rejects_unknown_row(table_for):
-    with pytest.raises(ValueError):
-        vanishing_set((2, 2), table_for(3))
+    assert _zero_set((2, 2), t4) == {(4,), (2, 1, 1)}
+    assert _zero_set((3, 1), t4) == {(3, 1)}
+    assert _zero_set((2, 1, 1), t4) == {(3, 1)}
+    assert _zero_set((1, 3), t4) == {(3, 1)}  # parts in any order
 
 
 def test_every_nonlinear_character_vanishes_somewhere(table_for):
     for n in range(3, 13):
         t = table_for(n)
-        for lam in partitions_of(n):
+        for lam, row in zip(t.order, t.values):
             if lam in ((n,), (1,) * n):
                 continue
-            assert vanishing_set(lam, t), lam
+            assert 0 in row, lam
 
 
 def test_covers_all_nonlinear_known_cases(table_for):
@@ -166,20 +165,9 @@ def test_no_single_class_covers_beyond_n3(table_for):
 
 
 def test_k_of_sn(table_for):
-    assert k_of_sn(table_for(3)) == 1
+    assert find_covering_pairs(table_for(3)).k_value == 1
     for n in range(4, 13):
-        assert k_of_sn(table_for(n)) == 2
-    with pytest.raises(ValueError):
-        k_of_sn(table_for(2))
-
-
-def test_k_of_sn_refuses_a_table_with_no_covering_pair(table_for):
-    # chi_(6,1) set to its degree everywhere vanishes on no class of S_7
-    t7 = table_for(7)
-    rows = list(t7.values)
-    rows[t7.index((6, 1))] = (6,) * len(t7.order)
-    with pytest.raises(RuntimeError, match="no covering pair of classes exists for n=7"):
-        k_of_sn(t7._replace(values=tuple(rows)))
+        assert find_covering_pairs(table_for(n)).k_value == 2
 
 
 def test_theorem_diagnostics(table_for):
