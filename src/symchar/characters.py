@@ -40,7 +40,7 @@ from itertools import islice, pairwise
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .partitions import Partition, as_partition, iter_partitions, partitions_of
+from .partitions import Partition, as_classes, as_int, as_partition, iter_partitions, partitions_of
 
 __all__ = [
     "RimHookRemoval",
@@ -113,16 +113,17 @@ def border_strip_removals(p: Partition, length: int) -> tuple[RimHookRemoval, ..
     One removal per cell of p whose hook length equals `length`, listed by
     the row of that cell in ascending order.  Removing a strip of length n
     from a partition of n leaves the empty partition; a partition with no
-    hook of the given length yields no removals.
+    hook of the given length yields no removals.  p is read through
+    as_partition, and a length that is not a positive int raises ValueError.
 
     Implemented with beta-sets (first-column hook lengths): strips of length
     L correspond to elements b of the beta-set with b - L >= 0 not in the
     set, and the strip height is one more than the number of beta elements
     strictly between b - L and b.
     """
-    if length < 1:
-        raise ValueError(f"strip length must be positive, got {length}")
-    beta = _beta_set(p)
+    if type(length) is not int or length < 1:
+        raise ValueError(f"strip length must be positive and an int, got {length!r}")
+    beta = _beta_set(as_partition(p))
     present = set(beta)
     removals: list[RimHookRemoval] = []
     for i, b in enumerate(beta):  # ascending i = ascending row of the cell
@@ -147,20 +148,17 @@ _MN_MEMO: dict[tuple[Partition, Partition], int] = {}
 def mn_char(lam: Partition, mu: Partition) -> int:
     """Character value chi_lam(w_mu) for partitions lam, mu of the same n.
 
-    The parts of lam and mu may come in any order; ValueError refuses a part
-    that is not a positive int, a size mismatch, or a sweep with a step of
+    lam and mu are read through partitions.as_classes: their parts may come
+    in any order, and ValueError refuses a part that is not a positive int
+    or labels of two sizes.  ValueError also refuses a sweep with a step of
     more than MAX_MN_SHAPES shapes.  Murnaghan-Nakayama rule:
     peel a border strip of each part of mu in turn, largest first, summing
     sign * count over all removals (see _mn).  Each value is memoized once
     per distinct (lam, mu) call; the memo persists across calls (grow-only).
     """
-    lam = as_partition(lam)
-    mu = as_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    key = (lam, mu)
+    key = as_classes(lam, mu)
     if key not in _MN_MEMO:
-        _MN_MEMO[key] = _mn(lam, mu)
+        _MN_MEMO[key] = _mn(*key)
     return _MN_MEMO[key]
 
 
@@ -371,9 +369,7 @@ def character_table(n: int, *, cache_dir: str | Path | None = None) -> CharTable
     CharTableCacheError rather than being silently recomputed); otherwise the
     table is computed and saved there.
     """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"character_table needs an int n >= 1, got {n!r}")
-    if n > MAX_TABLE_N:
+    if as_int(n, "the n of a character table", low=1) > MAX_TABLE_N:
         raise ValueError(f"character_table at n={n} is past the table limit {MAX_TABLE_N}")
     path: Path | None = None
     if cache_dir is not None:

@@ -8,7 +8,11 @@ route: it walks the smallest of C_mu, C_nu and C_gamma against the
 class_representative of another class, each class built member by member
 without sweeping S_n, and follows the cycles of one product per member only
 until the first cycle that the wanted cycle type has no room for.  The two
-never share code, so each checks the other.
+never share code, so each checks the other.  Every function here that
+takes two or three classes reads them through partitions.as_classes: a part
+that is not a positive int, or classes that do not all partition one n (the
+table's n, where a table is given), raise ValueError before anything is
+counted.
 
 A class is enumerated once per process and kept as one bytes object: its
 members one after another, n bytes each, byte k of a member being its image
@@ -35,6 +39,7 @@ from .characters import CharTable
 from .partitions import (
     BRUTE_FORCE_DEFAULT_LIMIT,
     Partition,
+    as_classes,
     as_partition,
     class_size,
     partitions_of,
@@ -145,22 +150,6 @@ def conjugacy_class(mu: Partition, *, limit: int = BRUTE_FORCE_DEFAULT_LIMIT) ->
     return tuple(zip(*[iter(_class_members(mu))] * n))
 
 
-def _class_triple(
-    mu: Partition, nu: Partition, gamma: Partition, n: int | None = None
-) -> tuple[Partition, Partition, Partition]:
-    """mu, nu and gamma through as_partition, refused unless all three partition n.
-
-    With n None, they must all partition one same n.  Every part is checked
-    before any size is summed, so a bad part raises ValueError, never TypeError.
-    """
-    triple = as_partition(mu), as_partition(nu), as_partition(gamma)
-    sizes = {sum(p) for p in triple}
-    if len(sizes) > 1 or (n is not None and sizes != {n}):
-        where = "the same n" if n is None else n
-        raise ValueError(f"classes must all partition {where}: {mu}, {nu}, {gamma}")
-    return triple
-
-
 def structure_constant(mu: Partition, nu: Partition, gamma: Partition, table: CharTable) -> int:
     """Class-algebra coefficient a_{mu,nu}^gamma from character data.
 
@@ -172,7 +161,7 @@ def structure_constant(mu: Partition, nu: Partition, gamma: Partition, table: Ch
     character table itself is inconsistent and raises RuntimeError.
     """
     n = table.n
-    mu, nu, gamma = _class_triple(mu, nu, gamma, n)
+    mu, nu, gamma = as_classes(mu, nu, gamma, n=n)
     i_mu, i_nu, i_g = table.index(mu), table.index(nu), table.index(gamma)
     group_order = math.factorial(n)
     total = 0
@@ -214,7 +203,7 @@ def structure_constant_bruteforce(
     count; a division that leaves a remainder means the enumeration missed or
     repeated a member, and raises RuntimeError.
     """
-    mu, nu, gamma = _class_triple(mu, nu, gamma)
+    mu, nu, gamma = as_classes(mu, nu, gamma)
     n = sum(mu)
     BruteForceLimitError.check(n, limit)
     if not n:
@@ -297,7 +286,7 @@ def predicted_coefficient(
     table and raises RuntimeError.
     """
     n = table.n
-    mu, nu, gamma = _class_triple(mu, nu, gamma, n)
+    mu, nu, gamma = as_classes(mu, nu, gamma, n=n)
     if not covers_all_nonlinear(mu, nu, table):
         return None
     linear = 1 if n == 1 else 1 + sign_value(mu) * sign_value(nu) * sign_value(gamma)
@@ -314,8 +303,8 @@ def deterministic_triples(n: int) -> tuple[tuple[Partition, Partition, Partition
     comparable across machines and sessions.  Each triple draws its three
     classes in turn, so a prefix of the sample is a smaller sample.
     """
+    classes = partitions_of(n)  # refuses an n that is not an int >= 0
     rng = random.Random(7919 * 1_000_003 + n)
-    classes = partitions_of(n)
     return tuple(
         (rng.choice(classes), rng.choice(classes), rng.choice(classes)) for _ in range(100)
     )
@@ -327,11 +316,10 @@ def merge_lemma_check(mu: Partition, nu: Partition) -> bool:
     That is: some parts a, b of mu merge into a part a+b of nu while the
     remaining parts agree as multisets.  This is the combinatorial relation
     forced between two classes whose product hits the transposition class.
-    As the sizes agree, it holds when mu has two parts that nu lacks and nu
+    mu and nu must partition one n (see partitions.as_classes).  As the
+    sizes agree, it holds when mu has two parts that nu lacks and nu
     one part that mu lacks, counted with multiplicity.
     """
-    mu, nu = as_partition(mu), as_partition(nu)
-    if sum(mu) != sum(nu):
-        raise ValueError(f"size mismatch: |{mu}| != |{nu}|")
+    mu, nu = as_classes(mu, nu)
     lost, gained = Counter(mu) - Counter(nu), Counter(nu) - Counter(mu)
     return lost.total() == 2 and gained.total() == 1

@@ -169,12 +169,9 @@ def _cmd_chartable(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    from .partitions import is_hook, parse_partition
+    from .partitions import as_classes, is_hook, parse_partition
 
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"lambda and mu must partition the same n: {lam} vs {mu}")
+    lam, mu = as_classes(parse_partition(args.lam), parse_partition(args.mu))
     n = sum(lam)
     # each method imports only its own route
     if args.method == "mn":
@@ -270,13 +267,9 @@ def _cmd_structure_constant(args: argparse.Namespace) -> int:
         structure_constant,
         structure_constant_bruteforce,
     )
-    from .partitions import parse_partition
+    from .partitions import as_classes, parse_partition
 
-    mu = parse_partition(args.mu)
-    nu = parse_partition(args.nu)
-    gamma = parse_partition(args.gamma)
-    if not (sum(mu) == sum(nu) == sum(gamma)):
-        raise ValueError(f"mu, nu, gamma must partition the same n: {mu}, {nu}, {gamma}")
+    mu, nu, gamma = as_classes(*map(parse_partition, (args.mu, args.nu, args.gamma)))
     # a refusal past the brute-force limit reads no cache file, and one past
     # the table limit (character_table's) comes before anything is counted
     if args.verify:

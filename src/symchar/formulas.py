@@ -22,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 from operator import add, sub
 
-from .partitions import Partition, as_partition, multiplicities
+from .partitions import Partition, as_int, as_partition, multiplicities
 
 __all__ = [
     "NearHookShape",
@@ -49,20 +49,16 @@ class NearHookShape(Enum):
 def shape_partition(shape: NearHookShape, n: int) -> Partition:
     """Instantiate the shape at size n, e.g. (R21, 9) -> (6, 2, 1).
 
-    Valid only when the first row n - |tail| keeps the sequence weakly
-    decreasing; anything else raises rather than silently evaluating a
-    polynomial outside its range.  A shape that is not a NearHookShape, or
-    an n that is not an int, raises ValueError too.
+    Valid only when n is an int at which the first row n - |tail| keeps the
+    sequence weakly decreasing, n >= |tail| + tail[0]; anything else raises
+    ValueError rather than silently evaluating a polynomial outside its
+    range.  A shape that is not a NearHookShape raises ValueError too.
     """
     if not isinstance(shape, NearHookShape):
         raise ValueError(f"unknown shape {shape!r}")
-    if type(n) is not int:
-        raise ValueError(f"shape size must be an int, got {n!r}")
     tail = shape.value
-    first = n - sum(tail)
-    if first < tail[0]:
-        raise ValueError(f"shape {shape.name} is not a partition at n={n}")
-    return (first, *tail)
+    n = as_int(n, f"the n of shape {shape.name}", low=sum(tail) + tail[0])
+    return (n - sum(tail), *tail)
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -131,9 +127,7 @@ def hook_char_recursive(k: int, mu: Partition) -> int:
     unwound iteratively from the trivial character at k=0.
     """
     mu = as_partition(mu)
-    n = sum(mu)
-    if type(k) is not int or not 0 <= k <= n - 1:
-        raise ValueError(f"hook tail length must be an int 0 <= k <= {n - 1}, got {k!r}")
+    as_int(k, "hook tail length k", high=sum(mu) - 1)
     induced = _induced_polynomial("sign", mu)
     value = 1
     for j in range(1, k + 1):
@@ -150,8 +144,6 @@ def two_row_char_recursive(k: int, mu: Partition) -> int:
     coefficients of the one polynomial, and the trivial character at k=0.
     """
     mu = as_partition(mu)
-    n = sum(mu)
-    if type(k) is not int or k < 0 or 2 * k > n:
-        raise ValueError(f"second row must be an int 0 <= k <= {n}/2, got {k!r}")
+    as_int(k, "second row k", high=sum(mu) // 2)
     induced = _induced_polynomial("trivial", mu)
     return induced[k] - induced[k - 1] if k else 1

@@ -3,9 +3,13 @@
 A partition is represented as a tuple of positive ints in weakly decreasing
 order, e.g. (5, 3, 1, 1).  The empty tuple () is the unique partition of 0 and
 is a legitimate value everywhere below; it matters as the base case of the
-character recursions.  The statistics below and conjugate read their
-partition through as_partition, so parts may come in any order and a
-part that is not a positive int raises ValueError.
+character recursions.
+
+Every module reads its input through three rules kept here, so each is
+decided once: as_int for a size or an index (an int, never a bool, in
+range), as_partition for a label (positive int parts in any order, each
+checked before they are sorted), and as_classes for labels that must all
+partition one n.  A value that breaks a rule raises ValueError.
 
 Partitions of n double as labels for the conjugacy classes of the symmetric
 group S_n (cycle types) and for its irreducible characters, so this module is
@@ -21,7 +25,9 @@ from typing import Iterable, Iterator
 
 __all__ = [
     "Partition",
+    "as_int",
     "as_partition",
+    "as_classes",
     "partitions_of",
     "iter_partitions",
     "multiplicities",
@@ -50,21 +56,43 @@ MAX_PARTITION_SIZE = 2000
 BRUTE_FORCE_DEFAULT_LIMIT = 9
 
 
+def as_int(value: int, what: str, low: int = 0, high: int | None = None) -> int:
+    """value if it is an int (not a bool) in low..high (high None: no bound); else ValueError."""
+    if type(value) is not int or value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{what} must be an int {bound}, got {value!r}")
+    return value
+
+
 def as_partition(parts: Iterable[int]) -> Partition:
     """Normalize an iterable of positive ints into canonical descending form.
 
-    Raises ValueError if any entry is not a positive integer.  A tuple that
-    is already canonical comes back as itself, so a memo keyed by the result
-    holds the caller's tuple, not a copy.
+    The iterable is read once and each entry checked before any is sorted, so
+    one that is not a positive int raises ValueError, never TypeError.  A
+    canonical tuple comes back as itself: a memo keyed by it holds no copy.
     """
-    out = tuple(sorted(parts, reverse=True))
-    for p in out:
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+    given = parts if type(parts) is tuple else tuple(parts)
+    for p in given:
+        if type(p) is not int or p < 1:
             raise ValueError(f"partition parts must be positive integers, got {p!r}")
-    return parts if type(parts) is tuple and parts == out else out
+    out = tuple(sorted(given, reverse=True))
+    return given if given == out else out
 
 
-@lru_cache(maxsize=None)
+def as_classes(*labels: Iterable[int], n: int | None = None) -> tuple[Partition, ...]:
+    """The labels through as_partition, refused unless all partition one n (n, if given).
+
+    Every label is read before any size is summed, so a bad part is refused first.
+    """
+    classes = tuple(map(as_partition, labels))
+    sizes = {sum(p) for p in classes}
+    if len(sizes) > 1 or (n is not None and sizes != {n}):
+        where = "the same n" if n is None else n
+        raise ValueError(f"labels must all partition {where}: {', '.join(map(str, classes))}")
+    return classes
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: True never reads the entry of 1
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, descending lexicographically: (n) first, (1^n) last.
 
@@ -79,11 +107,9 @@ def iter_partitions(n: int) -> Iterator[Partition]:
 
     A caller that needs only a prefix (say, to compare a list of unknown
     length against the canonical order) stops early instead of building all
-    p(n) of them.
+    p(n) of them.  An n that is not an int >= 0 raises ValueError at once.
     """
-    if n < 0:
-        raise ValueError(f"cannot partition a negative integer: {n}")
-    return _descending(n, n)
+    return _descending(as_int(n, "the n to partition"), n)
 
 
 def _descending(remaining: int, cap: int) -> Iterator[Partition]:

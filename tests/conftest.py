@@ -4,6 +4,12 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
+# Write no bytecode beside the sources, here or in the CLI subprocesses: a
+# src/symchar/__pycache__ left by a test run would let a later timing of the
+# checkout import bytecode where a clean checkout compiles every module.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable

@@ -93,6 +93,15 @@ def test_border_strip_removals_frozen_examples():
     assert border_strip_removals((2, 2), 4) == ()
     with pytest.raises(ValueError, match="strip length must be positive"):
         border_strip_removals((2, 2), 0)
+    # p is read through as_partition, and the length must be an int
+    assert border_strip_removals((1, 2), 1) == (
+        RimHookRemoval(remaining=(1, 1), height=1, sign=1),
+        RimHookRemoval(remaining=(2,), height=1, sign=1),
+    )
+    with pytest.raises(ValueError, match="strip length must be positive and an int"):
+        border_strip_removals((2, 1), 1.5)
+    with pytest.raises(ValueError, match="positive integers"):
+        border_strip_removals((2, -1), 1)
 
 
 def test_border_strip_removals_match_hook_lengths():

@@ -6,6 +6,7 @@ from symchar import (
     character_table,
     class_representative,
     conjugacy_class,
+    deterministic_triples,
     hook_char_recursive,
     mn_char,
     near_hook_value,
@@ -18,6 +19,7 @@ from symchar import (
     two_row_char_recursive,
 )
 from symchar.formulas import _exact_div, _induced_polynomial
+from symchar.partitions import as_partition
 
 # minimal n at which each shape instantiates to a weakly decreasing sequence
 MIN_N = {
@@ -151,11 +153,20 @@ def test_each_recursion_call_builds_one_polynomial(monkeypatch):
         lambda: predicted_coefficient((3,), (3,), (2.5, 0.5), character_table(3)),
         lambda: structure_constant_bruteforce(("x",), (3,), (3,)),
         lambda: structure_constant_bruteforce((3,), (2.5, 0.5), (3,)),
+        # a good part beside a bad one: every part is read before any is sorted
+        lambda: as_partition((2, "x")),
+        lambda: as_partition((2, None)),
+        lambda: mn_char((2, "x"), (3,)),
+        lambda: mn_char((3,), (2, None)),
+        lambda: structure_constant((2, "x"), (3,), (3,), character_table(3)),
+        lambda: structure_constant((3,), (3,), (2, None), character_table(3)),
     ],
     ids=[
         "two-row", "hook", "near-hook", "conjugacy-class", "representative",
         "structure-constant-str", "structure-constant-float", "predicted-str",
         "predicted-float", "bruteforce-str", "bruteforce-float",
+        "as-partition-mixed-str", "as-partition-mixed-none", "mn-mixed-str",
+        "mn-mixed-none", "structure-constant-mixed-str", "structure-constant-mixed-none",
     ],
 )
 def test_library_calls_refuse_non_partitions(call):
@@ -171,8 +182,15 @@ def test_library_calls_refuse_non_partitions(call):
         lambda: shape_partition(NearHookShape.R1, 3.5),
         lambda: hook_char_recursive(1.0, (2, 1)),
         lambda: two_row_char_recursive(True, (2, 1)),
+        lambda: partitions_of(3.0),
+        # True == 1, so an untyped cache would answer from the entry of 1
+        lambda: (partitions_of(1), partitions_of(True)),
+        lambda: deterministic_triples(2.0),
     ],
-    ids=["table-bool", "table-float", "shape-float", "hook-float", "two-row-bool"],
+    ids=[
+        "table-bool", "table-float", "shape-float", "hook-float", "two-row-bool",
+        "partitions-float", "partitions-bool", "triples-float",
+    ],
 )
 def test_library_calls_refuse_a_non_int_size(call):
     with pytest.raises(ValueError, match=r"\ban int\b"):

@@ -18,7 +18,7 @@ from symchar import (
     partitions_of,
     sign_value,
 )
-from symchar.partitions import MAX_PARTITION_SIZE, as_partition
+from symchar.partitions import MAX_PARTITION_SIZE, as_classes, as_int, as_partition
 
 
 def test_canonical_order_small():
@@ -234,9 +234,31 @@ def test_format_partition():
 
 def test_as_partition():
     assert as_partition([1, 3, 2]) == (3, 2, 1)
+    assert as_partition(iter([1, 3, 2])) == (3, 2, 1)  # read once, then sorted
     canonical = (3, 2, 1)
     assert as_partition(canonical) is canonical  # a memo keyed by it holds no copy
     with pytest.raises(ValueError):
         as_partition([3, 0])
     with pytest.raises(ValueError):
         as_partition([2, -1])
+
+
+def test_as_int():
+    assert as_int(0, "n") == 0
+    assert as_int(5, "k", low=1, high=5) == 5
+    refused = [(True, 0, None), (2.0, 0, None), ("2", 0, None), (-1, 0, None), (6, 1, 5)]
+    for value, low, high in refused:
+        with pytest.raises(ValueError, match=r"^k must be an int "):
+            as_int(value, "k", low, high)
+
+
+def test_as_classes():
+    assert as_classes([1, 2], (3,)) == ((2, 1), (3,))
+    assert as_classes((2, 2), n=4) == ((2, 2),)
+    with pytest.raises(ValueError, match="must all partition the same n"):
+        as_classes((3,), (2, 1), (1, 1))
+    with pytest.raises(ValueError, match="must all partition 5"):
+        as_classes((3,), (2, 1), n=5)
+    # the parts are read before any size is compared
+    with pytest.raises(ValueError, match="positive integers"):
+        as_classes((3,), (1, 0.5, 0.5, 1))
