@@ -8,11 +8,10 @@ smallest parts of a class of n.  Classes in canonical order are grouped by
 largest part k, and a row's group k is the sum, over the k-strip removals
 from its shape, of sign * the last slots of the row of level m - k that
 the removal leaves: one big-int addition per removal, every slot of the
-group at once.  The removals come from the strip matrix of (m - k, k): for
-each shape of m, the indices and signs of the shapes left, found with int
-bitmask beta-sets.  The rows of level n are unpacked into tuples of ints
-as they are made.  Rows and columns follow the canonical partition order
-of partitions_of(n).
+group at once.  Each step finds a shape's removals as it walks its int
+bitmask beta-set, and adds or subtracts each term as it finds it.  The rows
+of level n are unpacked into tuples of ints as they are made.  Rows and
+columns follow the canonical partition order of partitions_of(n).
 
 An optional disk cache holds one binary file per n: a fixed header, the
 p(n)^2 values as signed 64-bit little-endian ints, row-major, and a SHA-256
@@ -36,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from itertools import islice, pairwise
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -66,9 +65,10 @@ SCHEMA_VERSION = 2
 
 # Largest n that character_table builds or loads.  The table holds p(n)^2
 # Python ints, so memory grows like p(n)^2 however fast the build is: a cold
-# `symchar vanishing-pairs 26` takes 2.2 s and 184 MiB of peak RSS, and 28
-# takes 5.3 s and 407 MiB (fresh processes, 2-vCPU Xeon, Python 3.11.7),
-# while at n = 40 (p = 37,338) the row slots alone would take over 10 GiB.
+# `symchar vanishing-pairs 26` takes 1.4-2.0 s and 172 MiB of peak RSS, and
+# 28 takes 3.5-3.8 s and 382 MiB (fresh processes, three runs each, 2-vCPU
+# Xeon, Python 3.11.7), while at n = 40 (p = 37,338) the row slots alone
+# would take over 10 GiB.
 # Checked before any cache read or build, so a refusal costs nothing.  The
 # build's 64-bit slots would hold every value through n = 33.
 MAX_TABLE_N = 28
@@ -246,33 +246,6 @@ def _level(m: int, n: int) -> dict[int, int]:
     }
 
 
-def _strip_matrix(
-    source: dict[int, int], target: dict[int, int], k: int
-) -> tuple[list[int], list[int], list[int]]:
-    """The step that adds a border strip of length k, from one level to the next.
-
-    For each shape of target in order, the source index of every shape left
-    by removing a k-strip from it, and that removal's sign, as flat lists
-    (src, signs) with row r's entries at bounds[r]:bounds[r + 1].  Removing
-    a strip moves a bead b to the free position b - k; the strip's height is
-    one more than the number of beads strictly between them, so that count's
-    parity is the sign.
-    """
-    src: list[int] = []
-    signs: list[int] = []
-    bounds = [0]
-    between = (1 << (k - 1)) - 1
-    for mask in target:
-        removable = mask & ~(mask << k) & -(1 << k)  # beads b >= k with b - k free
-        while removable:
-            bit = removable & -removable
-            removable ^= bit
-            src.append(source[mask ^ bit ^ (bit >> k)])
-            signs.append(-1 if ((mask >> (bit.bit_length() - k)) & between).bit_count() & 1 else 1)
-        bounds.append(len(src))
-    return src, signs, bounds
-
-
 # A packed row holds one value per 64-bit slot, slot j at bits 64j..64j+63,
 # stored with 2^63 added: every slot then lies in [0, 2^64), so no slot
 # borrows from its neighbour and a run of slots is one shift and one
@@ -286,23 +259,39 @@ def _bias(slots: int) -> int:
 
 
 def _add_strips(
-    source: list[int], start: int, size: int, matrix: tuple[list[int], list[int], list[int]]
+    source_rows: list[int],
+    start: int,
+    size: int,
+    shapes: dict[int, int],
+    target: dict[int, int],
+    k: int,
 ) -> Iterator[bytes]:
-    """Pull slots start .. start + size - 1, the last, of packed source rows through a strip matrix.
+    """Pull slots start .. start + size - 1, the last, of packed source rows up a k-strip.
 
-    Yields, for each shape of the target level in order, the packed bytes of
-    the sum of sign * (those slots of the row left by a removal) over its
+    Yields, for each shape of target in order, the packed bytes of the sum of
+    sign * (those slots of the source row left by a removal) over its k-strip
     removals: one big-int addition per removal, the slots added in parallel.
+    shapes and target are the _level dicts of the source and target levels.
+    Removing a strip moves a bead b >= k to the free position b - k; the
+    strip's height is one more than the number of beads strictly between
+    them, so that count's parity is the sign.
     """
     bias = _bias(size)
-    terms = [(row >> 64 * start) - bias for row in source]
-    terms += [-term for term in terms]
-    src, signs, bounds = matrix
-    # a removal of sign -1 reads the negated term
-    src = [i if sign > 0 else i + len(source) for i, sign in zip(src, signs)]
+    terms = [(row >> 64 * start) - bias for row in source_rows]
+    between = (1 << (k - 1)) - 1
     nbytes = 8 * size
-    for lo, hi in pairwise(bounds):
-        yield (sum(map(terms.__getitem__, src[lo:hi])) + bias).to_bytes(nbytes, "little")
+    for mask in target:
+        total = bias
+        removable = mask & ~(mask << k) & -(1 << k)  # beads b >= k with b - k free
+        while removable:
+            bit = removable & -removable
+            removable ^= bit
+            term = terms[shapes[mask ^ bit ^ (bit >> k)]]
+            if ((mask >> (bit.bit_length() - k)) & between).bit_count() & 1:
+                total -= term
+            else:
+                total += term
+        yield total.to_bytes(nbytes, "little")
 
 
 def _table_values(n: int) -> tuple[tuple[int, ...], ...]:
@@ -314,7 +303,8 @@ def _table_values(n: int) -> tuple[tuple[int, ...], ...]:
     largest part k is k added to a class of m - k with parts at most k, which
     are the last slots of level m - k.  So row lam's group of slots for k is
     the sum over the k-strip removals from lam of sign * those slots of the
-    row left: the Murnaghan-Nakayama rule, one level at a time.  Level n's
+    row left: the Murnaghan-Nakayama rule, one level at a time, each group
+    summed by _add_strips as it walks the bead masks of level m.  Level n's
     rows are unpacked as they are assembled, so they are never all packed.
     """
     # |chi|^2 <= n!, so every value fits a signed 64-bit slot while n! < 2^126
@@ -336,7 +326,9 @@ def _table_values(n: int) -> tuple[tuple[int, ...], ...]:
                 packed[m - k],
                 fits[m - k][n - m + k] - fits[m - k][k],
                 fits[m - k][k],
-                _strip_matrix(levels[m - k], levels[m], k),
+                levels[m - k],
+                levels[m],
+                k,
             )
             for k in range(min(m, n - m or n), 0, -1)
         ]

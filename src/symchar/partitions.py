@@ -68,10 +68,14 @@ def as_partition(parts: Iterable[int]) -> Partition:
     """Normalize an iterable of positive ints into canonical descending form.
 
     The iterable is read once and each entry checked before any is sorted, so
-    one that is not a positive int raises ValueError, never TypeError.  A
-    canonical tuple comes back as itself: a memo keyed by it holds no copy.
+    one that is not a positive int, or a label that is not iterable, raises
+    ValueError, never TypeError.  A canonical tuple comes back as itself: a
+    memo keyed by it holds no copy.
     """
-    given = parts if type(parts) is tuple else tuple(parts)
+    try:
+        given = parts if type(parts) is tuple else tuple(parts)
+    except TypeError:
+        raise ValueError(f"partitions are iterables of positive integers, got {parts!r}") from None
     for p in given:
         if type(p) is not int or p < 1:
             raise ValueError(f"partition parts must be positive integers, got {p!r}")

@@ -31,8 +31,9 @@ from symchar import (
 from symchar.characters import (
     MAX_TABLE_N,
     SCHEMA_VERSION,
+    _add_strips,
+    _bias,
     _level,
-    _strip_matrix,
     _table_values,
     mn_memo_size,
     reset_mn_memo,
@@ -149,7 +150,7 @@ def test_mn_char_needs_no_table_build_and_no_border_strip_removals(monkeypatch):
     import symchar.characters as characters_module
 
     table = character_table(8)
-    for name in ("_level", "_strip_matrix", "_table_values", "border_strip_removals"):
+    for name in ("_level", "_add_strips", "_table_values", "border_strip_removals"):
 
         def refuse(*args, name=name):
             raise AssertionError(f"mn_char called {name}")
@@ -349,11 +350,13 @@ def test_build_refuses_values_past_the_slot_width_before_any_work(monkeypatch):
         _table_values(34)
 
 
-def test_strip_matrices_match_border_strip_removals():
+def test_strip_steps_match_border_strip_removals():
     # every (m, k) step of a build for n <= 12: level m + k's slots for the
     # classes with largest part k come from level m, and a build takes the
     # step when a class of n, its parts added in ascending order, reaches m
-    # just before a part k
+    # just before a part k.  Source row i is one-hot at slot i, so each
+    # yielded row reads off its removals: distinct removals leave distinct
+    # shapes, and no removal can hide behind another.
     for n in range(1, 13):
         steps = set()
         for mu in partitions_of(n):
@@ -362,12 +365,15 @@ def test_strip_matrices_match_border_strip_removals():
                 steps.add((m, k))
                 m += k
         for m, k in steps:
-            src, signs, bounds = _strip_matrix(_level(m, n), _level(m + k, n), k)
             shapes = partitions_of(m)
-            assert len(bounds) == len(partitions_of(m + k)) + 1
-            for r, lam in enumerate(partitions_of(m + k)):
-                row = slice(bounds[r], bounds[r + 1])
-                got = [(shapes[i], sign) for i, sign in zip(src[row], signs[row])]
+            p = len(shapes)
+            one_hot = [_bias(p) + (1 << 64 * i) for i in range(p)]
+            rows = list(_add_strips(one_hot, 0, p, _level(m, n), _level(m + k, n), k))
+            targets = partitions_of(m + k)
+            assert len(rows) == len(targets), (n, m, k)
+            for lam, row in zip(targets, rows):
+                slots = [v - (1 << 63) for v in struct.unpack(f"<{p}Q", row)]
+                got = [(shapes[i], v) for i, v in enumerate(slots) if v]
                 expected = [(x.remaining, x.sign) for x in border_strip_removals(lam, k)]
                 assert sorted(got) == sorted(expected), (n, m, k, lam)
 

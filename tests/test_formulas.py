@@ -5,6 +5,7 @@ from symchar import (
     NearHookShape,
     character_table,
     class_representative,
+    class_size,
     conjugacy_class,
     deterministic_triples,
     hook_char_recursive,
@@ -160,6 +161,12 @@ def test_each_recursion_call_builds_one_polynomial(monkeypatch):
         lambda: mn_char((3,), (2, None)),
         lambda: structure_constant((2, "x"), (3,), (3,), character_table(3)),
         lambda: structure_constant((3,), (3,), (2, None), character_table(3)),
+        # a label that is not iterable at all
+        lambda: as_partition(5),
+        lambda: mn_char(5, (5,)),
+        lambda: character_table(3).index(3),
+        lambda: class_size(None),
+        lambda: sign_value(None),
     ],
     ids=[
         "two-row", "hook", "near-hook", "conjugacy-class", "representative",
@@ -167,6 +174,7 @@ def test_each_recursion_call_builds_one_polynomial(monkeypatch):
         "predicted-float", "bruteforce-str", "bruteforce-float",
         "as-partition-mixed-str", "as-partition-mixed-none", "mn-mixed-str",
         "mn-mixed-none", "structure-constant-mixed-str", "structure-constant-mixed-none",
+        "as-partition-int", "mn-int", "index-int", "class-size-none", "sign-none",
     ],
 )
 def test_library_calls_refuse_non_partitions(call):
