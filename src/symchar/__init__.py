@@ -34,7 +34,6 @@ _EXPORTS = {
         "conjugacy_class",
         "deterministic_triples",
         "merge_lemma_check",
-        "predicted_coefficient",
         "structure_constant",
         "structure_constant_bruteforce",
     ),
@@ -61,6 +60,7 @@ _EXPORTS = {
         "CoveringPairReport",
         "covers_all_nonlinear",
         "find_covering_pairs",
+        "predicted_coefficient",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

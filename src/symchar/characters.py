@@ -18,9 +18,9 @@ p(n)^2 values as signed 64-bit little-endian ints, row-major, and a SHA-256
 of everything before it.  A cold build packs its rows with struct, and a
 warm load is one digest and one struct unpack: no text is parsed.
 table_to_json is the `chartable --format json` encoder, and table_from_json
-its inverse; the cache never reads or writes JSON.  CharTable.row_text makes
-a table's decimal lines each time it is read, and a request reads it at
-most once: in the JSON encoder or in the CLI's csv writer.
+its inverse; the cache never reads or writes JSON.  CharTable.row_text joins
+each row's str() values by commas each time it is read, and a request reads
+it at most once: in the JSON encoder or in the CLI's csv writer.
 
 mn_char(lam, mu) is the independent single-value route: one forward sweep
 of the Murnaghan-Nakayama rule over len(lam)-bead masks, peeling the parts
@@ -218,8 +218,8 @@ class CharTable(NamedTuple):
 
     @property
     def row_text(self) -> tuple[str, ...]:
-        """One line per row of values: its decimal strings joined by commas."""
-        line = ",".join(["%d"] * len(self.order))
+        """One line per row of values: their str() joined by commas."""
+        line = ",".join(["%s"] * len(self.order))
         return tuple(map(line.__mod__, self.values))
 
     def index(self, p: Partition) -> int:
@@ -486,11 +486,10 @@ def load_table(path: str | Path) -> CharTable:
     return CharTable(n=n, values=tuple(_row_struct(width).iter_unpack(body)))
 
 
-def write_atomic(path: str | Path, *chunks: str | bytes) -> None:
-    """Write the chunks to a temporary file beside path, sync it, then rename it over path.
+def write_atomic(path: str | Path, *chunks: bytes) -> None:
+    """Write the byte chunks to a temporary file beside path, sync it, then rename it over path.
 
-    A str chunk is written as UTF-8, so one writer serves text and bytes.  An
-    interrupted write or a crash leaves the old file (or none), never a
+    An interrupted write or a crash leaves the old file (or none), never a
     truncated one; on any failure the temporary file is removed, and an
     OSError with an errno is raised again naming path.
     """
@@ -498,8 +497,7 @@ def write_atomic(path: str | Path, *chunks: str | bytes) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            for chunk in chunks:
-                f.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+            f.writelines(chunks)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

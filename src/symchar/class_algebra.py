@@ -8,11 +8,12 @@ route: it walks the smallest of C_mu, C_nu and C_gamma against the
 class_representative of another class, each class built member by member
 without sweeping S_n, and follows the cycles of one product per member only
 until the first cycle that the wanted cycle type has no room for.  The two
-never share code, so each checks the other.  Every function here that
-takes two or three classes reads them through partitions.as_classes: a part
-that is not a positive int, or classes that do not all partition one n (the
-table's n, where a table is given), raise ValueError before anything is
-counted.
+never share code, so each checks the other.  (The coefficient that a
+covering pair forces is vanishing.predicted_coefficient, beside the pair
+rule it reads.)  Every function here that takes two or three classes reads
+them through partitions.as_classes: a part that is not a positive int, or
+classes that do not all partition one n (the table's n, where a table is
+given), raise ValueError before anything is counted.
 
 A class is enumerated once per process and kept as one bytes object: its
 members one after another, n bytes each, byte k of a member being its image
@@ -43,9 +44,7 @@ from .partitions import (
     as_partition,
     class_size,
     partitions_of,
-    sign_value,
 )
-from .vanishing import covers_all_nonlinear
 
 __all__ = [
     "Perm",
@@ -54,7 +53,6 @@ __all__ = [
     "conjugacy_class",
     "structure_constant",
     "structure_constant_bruteforce",
-    "predicted_coefficient",
     "merge_lemma_check",
     "deterministic_triples",
 ]
@@ -269,31 +267,6 @@ def _count_products(members: bytes, g: Perm, target: Partition) -> int:
         else:
             count += 1
     return count
-
-
-def predicted_coefficient(
-    mu: Partition, nu: Partition, gamma: Partition, table: CharTable
-) -> int | None:
-    """Structure constant predicted when (mu, nu) covers all non-linear rows.
-
-    When every non-linear character vanishes on mu or on nu, only the linear
-    rows survive the character sum, which collapses to
-        |C_mu| |C_nu| (1 + sign(mu) sign(nu) sign(gamma)) / n!
-    for n >= 2, and to |C_mu| |C_nu| / n! at n = 1, whose one row is both the
-    trivial and the sign row: the structure constant of every covering pair.
-    Returns None when the covering hypothesis fails, since the collapse is
-    then unjustified; a collapse that is not an integer means an inconsistent
-    table and raises RuntimeError.
-    """
-    n = table.n
-    mu, nu, gamma = as_classes(mu, nu, gamma, n=n)
-    if not covers_all_nonlinear(mu, nu, table):
-        return None
-    linear = 1 if n == 1 else 1 + sign_value(mu) * sign_value(nu) * sign_value(gamma)
-    coeff, rem = divmod(class_size(mu) * class_size(nu) * linear, math.factorial(n))
-    if rem:
-        raise RuntimeError(f"predicted coefficient for ({mu}, {nu}, {gamma}) is not integral")
-    return coeff
 
 
 def deterministic_triples(n: int) -> tuple[tuple[Partition, Partition, Partition], ...]:

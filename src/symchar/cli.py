@@ -12,9 +12,9 @@ Any other Exception a command raises (a KeyError, an ArithmeticError, a
 MemoryError, ...) is a fault in symchar: exit 1 with one error line.
 
 JSON output renders every integer as a decimal string so arbitrarily large
-character values survive consumers that parse numbers as doubles.  The json
-and csv table writers print the table's row_text, the decimal lines of its
-values; the pretty writer formats the values itself, one row per `%` format.
+character values survive consumers that parse numbers as doubles.  Every
+writer turns a value into text by str(): the json and csv table writers
+print the table's row_text, the pretty writer one `%` format per row.
 
 Each process is one request, and every module it imports is compiled anew
 when no bytecode cache is written, so library names are imported inside the
@@ -159,7 +159,7 @@ def _cmd_chartable(args: argparse.Namespace) -> int:
     table = character_table(args.n, cache_dir=args.cache_dir)
     payload = renderers[args.format](table)
     if args.out is not None:
-        write_atomic(args.out, payload)
+        write_atomic(args.out, payload.encode("utf-8"))
     else:
         sys.stdout.write(payload)
     return EXIT_OK
@@ -468,8 +468,8 @@ def _exit_code(error: Exception) -> int:
     if isinstance(error, ValueError):
         return EXIT_INVALID_INPUT
     # any other RuntimeError: a table that loaded but fails a consistency
-    # check (structure_constant, predicted_coefficient, or the two linear-row
-    # criteria of vanishing._nonlinear_rows)
+    # check (structure_constant, or the two linear-row criteria of
+    # vanishing._nonlinear_rows)
     return EXIT_VERIFY_FAILED
 
 

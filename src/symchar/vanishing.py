@@ -6,20 +6,24 @@ mu or on nu.  find_covering_pairs(table) scans every pair of columns once
 and returns a CoveringPairReport of (n, pairs); every other answer (the least
 size of covering set, the match against the theorem's {(n), (n-1,1)} for
 n > 6, and the diagnostics naming the pairs that break it) is read off those
-pairs.  covers_all_nonlinear applies the scan's rule to one pair alone.
+pairs.  covers_all_nonlinear applies the scan's rule to one pair alone, and
+predicted_coefficient gives the structure constant that the rule forces on
+a covering pair: only the linear rows are left in the character sum.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .characters import CharTable
-from .partitions import Partition
+from .partitions import Partition, as_classes, class_size, sign_value
 
 __all__ = [
     "CoveringPairReport",
     "covers_all_nonlinear",
     "find_covering_pairs",
+    "predicted_coefficient",
 ]
 
 Pair = tuple[Partition, Partition]
@@ -113,6 +117,31 @@ def covers_all_nonlinear(mu: Partition, nu: Partition, table: CharTable) -> bool
     rows = [(table.values[r][i], table.values[r][j]) for r in _nonlinear_rows(table)]
     mask_mu, mask_nu = _column_masks(rows, 2)
     return not mask_mu & mask_nu
+
+
+def predicted_coefficient(
+    mu: Partition, nu: Partition, gamma: Partition, table: CharTable
+) -> int | None:
+    """Structure constant predicted when (mu, nu) covers all non-linear rows.
+
+    When every non-linear character vanishes on mu or on nu, only the linear
+    rows survive the character sum, which collapses to
+        |C_mu| |C_nu| (1 + sign(mu) sign(nu) sign(gamma)) / n!
+    for n >= 2, and to |C_mu| |C_nu| / n! at n = 1, whose one row is both the
+    trivial and the sign row: the structure constant of every covering pair.
+    Returns None when the covering hypothesis fails, since the collapse is
+    then unjustified; a collapse that is not an integer means an inconsistent
+    table and raises RuntimeError.
+    """
+    n = table.n
+    mu, nu, gamma = as_classes(mu, nu, gamma, n=n)
+    if not covers_all_nonlinear(mu, nu, table):
+        return None
+    linear = 1 if n == 1 else 1 + sign_value(mu) * sign_value(nu) * sign_value(gamma)
+    coeff, rem = divmod(class_size(mu) * class_size(nu) * linear, math.factorial(n))
+    if rem:
+        raise RuntimeError(f"predicted coefficient for ({mu}, {nu}, {gamma}) is not integral")
+    return coeff
 
 
 def find_covering_pairs(table: CharTable) -> CoveringPairReport:
