@@ -58,6 +58,7 @@ _EXPORTS = {
     ),
     "vanishing": (
         "CoveringPairReport",
+        "covering_pairs",
         "covers_all_nonlinear",
         "find_covering_pairs",
         "predicted_coefficient",

@@ -39,7 +39,15 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .partitions import Partition, as_classes, as_int, as_partition, iter_partitions, partitions_of
+from .partitions import (
+    MAX_MN_SHAPES,
+    Partition,
+    as_classes,
+    as_int,
+    as_partition,
+    iter_partitions,
+    partitions_of,
+)
 
 __all__ = [
     "RimHookRemoval",
@@ -65,20 +73,13 @@ SCHEMA_VERSION = 2
 
 # Largest n that character_table builds or loads.  The table holds p(n)^2
 # Python ints, so memory grows like p(n)^2 however fast the build is: a cold
-# `symchar vanishing-pairs 26` takes 1.4-2.0 s and 172 MiB of peak RSS, and
-# 28 takes 3.5-3.8 s and 382 MiB (fresh processes, three runs each, 2-vCPU
-# Xeon, Python 3.11.7), while at n = 40 (p = 37,338) the row slots alone
-# would take over 10 GiB.
+# `symchar structure-constant --mu 26 --nu 25,1 --gamma 13,13` takes
+# 0.80-0.88 s and 172 MiB of peak RSS, and its n = 28 twin 1.5-1.7 s and
+# 382 MiB (fresh processes, two runs each, 2-vCPU Xeon, Python 3.11.7),
+# while at n = 40 (p = 37,338) the row slots alone would take over 10 GiB.
 # Checked before any cache read or build, so a refusal costs nothing.  The
 # build's 64-bit slots would hold every value through n = 33.
 MAX_TABLE_N = 28
-
-# Most shapes one step of mn_char's sweep may hold; a wider step raises
-# ValueError.  Over (1^n), fresh processes, 2-vCPU Xeon, Python 3.11.7, two
-# runs each: (13, ..., 1) peaks at 96,757 shapes in 10-18 s, (14, ..., 2) at
-# 224,573 in 30-56 s, and (14, ..., 1) at 316,429 in 48-85 s, which the bound
-# refuses after 8 s.  (1000, 1000) over (1^2000) peaks at 501.
-MAX_MN_SHAPES = 250_000
 
 
 class RimHookRemoval(NamedTuple):

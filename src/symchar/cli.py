@@ -5,8 +5,14 @@ Each _cmd_* reads the parsed arguments and calls the library; main resolves
 the cache directory (--cache-dir, $SYMCHAR_CACHE, ./.symchar-cache) first.
 Standard output carries only the requested payload; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification mismatch or failed checks, 2 invalid
-input (including a table past characters.MAX_TABLE_N), 3 I/O failure, 4
-brute-force verification requested beyond the configured limit.
+input (including a table past characters.MAX_TABLE_N, or a sweep step past
+partitions.MAX_MN_SHAPES), 3 I/O failure, 4 brute-force verification
+requested beyond the configured limit.  A size or a part is ASCII digits
+only (partitions.parse_positive_int).
+
+vanishing-pairs answers n <= 3 from the table, and every larger n from
+vanishing.covering_pairs, which reads no table and no cache file: past the
+table limit it still answers, up to partitions.MAX_PARTITION_SIZE.
 
 Any other Exception a command raises (a KeyError, an ArithmeticError, a
 MemoryError, ...) is a fault in symchar: exit 1 with one error line.
@@ -19,7 +25,8 @@ print the table's row_text, the pretty writer one `%` format per row.
 Each process is one request, and every module it imports is compiled anew
 when no bytecode cache is written, so library names are imported inside the
 command or check that uses them: `--help` loads only partitions (for the
-brute-force default), `eval --method formula` only partitions and formulas.
+brute-force default), `eval --method formula` only partitions and formulas,
+`vanishing-pairs 4` or more only partitions and vanishing.
 """
 
 from __future__ import annotations
@@ -51,13 +58,12 @@ def _log(message: str) -> None:
 
 
 def _positive_int(text: str) -> int:
+    from .partitions import parse_positive_int
+
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+        return parse_positive_int(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _dots(partitions: tuple[Partition, ...]) -> list[str]:
@@ -249,10 +255,15 @@ _PAIRS_RENDERERS = {"json": _pairs_json, "csv": _pairs_csv, "pretty": _pairs_pre
 
 
 def _cmd_vanishing_pairs(args: argparse.Namespace) -> int:
-    from .characters import character_table
-    from .vanishing import find_covering_pairs
+    if args.n <= 3:  # below the lemma that lets covering_pairs skip the table
+        from .characters import character_table
+        from .vanishing import find_covering_pairs
 
-    report = find_covering_pairs(character_table(args.n, cache_dir=args.cache_dir))
+        report = find_covering_pairs(character_table(args.n, cache_dir=args.cache_dir))
+    else:
+        from .vanishing import covering_pairs
+
+        report = covering_pairs(args.n)
     sys.stdout.write(_PAIRS_RENDERERS[args.format](report))
     return EXIT_OK
 
@@ -308,10 +319,20 @@ def _run_check(name: str, fn) -> bool:
 
 
 def _check_theorem(n: int, args: argparse.Namespace) -> list[str]:
+    from .characters import MAX_TABLE_N
+    from .vanishing import covering_pairs
+
+    swept = covering_pairs(n)
+    if n > MAX_TABLE_N:
+        return swept.diagnostics()
     from .characters import character_table
     from .vanishing import find_covering_pairs
 
-    return find_covering_pairs(character_table(n, cache_dir=args.cache_dir)).diagnostics()
+    scanned = find_covering_pairs(character_table(n, cache_dir=args.cache_dir))
+    problems = scanned.diagnostics()
+    if scanned != swept:
+        problems.append(f"the table scan found {scanned.pairs}, the column sweep {swept.pairs}")
+    return problems
 
 
 def _check_orthogonality(n: int, args: argparse.Namespace) -> list[str]:
@@ -417,13 +438,15 @@ _SUITES = (
 def _skip_reason(suite: str, n: int, args: argparse.Namespace) -> str | None:
     """Why suite does not run at n, or None: its own rule first, then the table limit.
 
-    Every suite reads a table or compares with mn_char on every class of n,
-    so none runs past characters.MAX_TABLE_N.
+    The theorem suite runs at every n > 6: it sweeps columns at any n, and
+    up to characters.MAX_TABLE_N it also scans the table.  Every other suite
+    reads a table or compares with mn_char on every class of n, so none runs
+    past MAX_TABLE_N.
     """
     from .characters import MAX_TABLE_N
 
-    if suite == "theorem" and n <= 6:
-        return "theorem range is n > 6"
+    if suite == "theorem":
+        return "theorem range is n > 6" if n <= 6 else None
     if suite == "structure" and n > args.brute_force_limit:
         return f"beyond brute-force limit {args.brute_force_limit}"
     return f"beyond table limit {MAX_TABLE_N}" if n > MAX_TABLE_N else None

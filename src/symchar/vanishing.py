@@ -2,11 +2,21 @@
 
 A pair of classes {mu, nu} (mu = nu allowed) "covers" S_n when every
 irreducible character apart from the trivial and sign characters vanishes on
-mu or on nu.  find_covering_pairs(table) scans every pair of columns once
-and returns a CoveringPairReport of (n, pairs); every other answer (the least
-size of covering set, the match against the theorem's {(n), (n-1,1)} for
-n > 6, and the diagnostics naming the pairs that break it) is read off those
-pairs.  covers_all_nonlinear applies the scan's rule to one pair alone, and
+mu or on nu.  Two routes find every covering pair, and both return a
+CoveringPairReport of (n, pairs); every other answer (the least size of
+covering set, the match against the theorem's {(n), (n-1,1)} for n > 6, and
+the diagnostics naming the pairs that break it) is read off those pairs.
+
+find_covering_pairs(table) scans every pair of columns of a character table
+once.  covering_pairs(n), for n >= 4, reads no table.  A covering pair then
+has opposite signs, and both centralizer orders divide n(n - 1) (see
+covering_pairs for the proof), so only the few classes with z | n(n - 1)
+are candidates: their columns are swept upward by the Murnaghan-Nakayama
+rule, and an opposite-sign pair covers exactly when the supports of its two
+columns share no non-linear shape.  Each pair it rejects is re-checked by
+characters' independent downward sweep, which this module imports only then.
+
+covers_all_nonlinear applies the scan's rule to one pair alone, and
 predicted_coefficient gives the structure constant that the rule forces on
 a covering pair: only the linear rows are left in the character sum.
 """
@@ -14,13 +24,24 @@ a covering pair: only the linear rows are left in the character sum.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .characters import CharTable
-from .partitions import Partition, as_classes, class_size, sign_value
+from .partitions import (
+    MAX_MN_SHAPES,
+    MAX_PARTITION_SIZE,
+    Partition,
+    as_classes,
+    as_int,
+    class_size,
+    sign_value,
+)
+
+if TYPE_CHECKING:
+    from .characters import CharTable
 
 __all__ = [
     "CoveringPairReport",
+    "covering_pairs",
     "covers_all_nonlinear",
     "find_covering_pairs",
     "predicted_coefficient",
@@ -152,3 +173,148 @@ def find_covering_pairs(table: CharTable) -> CoveringPairReport:
     for a, mask in enumerate(masks):
         pairs.extend((order[a], order[b]) for b in range(a, len(order)) if not mask & masks[b])
     return CoveringPairReport(n=table.n, pairs=tuple(pairs))
+
+
+# --- covering pairs from class sizes and a few columns ----------------------
+
+
+def _candidates(n: int) -> Iterator[Partition]:
+    """The classes of n whose centralizer order divides n(n - 1), in canonical order.
+
+    A depth-first walk over parts, largest first.  A part k added to a class
+    that already holds m - 1 parts k multiplies z by k * m, so z only grows
+    along a branch, and the walk leaves a branch as soon as z stops dividing
+    n(n - 1).
+    """
+    bound = n * (n - 1)
+
+    def walk(prefix: Partition, remaining: int, z: int, run: int) -> Iterator[Partition]:
+        # run: how many parts of prefix equal its last part
+        if remaining == 0:
+            yield prefix
+            return
+        last = prefix[-1] if prefix else remaining
+        for k in range(min(last, remaining), 0, -1):
+            m = run + 1 if prefix and k == last else 1
+            if bound % (z * k * m) == 0:
+                yield from walk(prefix + (k,), remaining - k, z * k * m, m)
+
+    return walk((), n, 1, 0)
+
+
+def _column(mu: Partition, n: int) -> dict[int, int]:
+    """chi_lam(mu) for every lam of n with a non-zero value, keyed by lam's n-bead mask.
+
+    lam's bead i sits at lam[i] + n - 1 - i (lam padded with zeros to n
+    parts).  The Murnaghan-Nakayama rule run upward: start at the empty shape,
+    the lowest n beads, and for each part k of mu add a k-strip to every
+    shape reached, moving a bead b to a free position b + k with the sign of
+    the parity of the beads strictly between them.  Zero counts are dropped
+    after each step, and a step that reaches more than MAX_MN_SHAPES shapes
+    (zero counts included) raises ValueError.  The parts go smallest first:
+    the column is the same in any order, but the shapes of the small parts
+    are few and sit low, so the early steps stay narrow.
+    """
+    counts = {(1 << n) - 1: 1}
+    for k in reversed(mu):
+        between = (1 << (k - 1)) - 1
+        reached: dict[int, int] = {}
+        get = reached.get
+        for mask, count in counts.items():
+            movable = mask & ~(mask >> k)  # beads b with b + k free
+            while movable:
+                bit = movable & -movable
+                movable ^= bit
+                moved = mask ^ bit ^ (bit << k)
+                if ((mask >> bit.bit_length()) & between).bit_count() & 1:
+                    reached[moved] = get(moved, 0) - count
+                else:
+                    reached[moved] = get(moved, 0) + count
+            # checked as the step grows: a refused step stops just past the bound
+            if len(reached) > MAX_MN_SHAPES:
+                raise ValueError(
+                    f"the column of {mu} at n={n}: a step of the sweep holds {len(reached)} "
+                    f"shapes, past the bound MAX_MN_SHAPES = {MAX_MN_SHAPES}"
+                )
+        counts = {mask: count for mask, count in reached.items() if count}
+    return counts
+
+
+def _shape(mask: int, n: int) -> Partition:
+    """The partition whose n-bead mask is mask: bead i at lam[i] + n - 1 - i."""
+    beads = [b for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1]
+    return tuple(b - (n - 1 - i) for i, b in enumerate(beads) if b > n - 1 - i)
+
+
+def _recheck(
+    n: int, mu: Partition, nu: Partition, shared: set[int], columns: dict[Partition, dict[int, int]]
+) -> None:
+    """Confirm by characters._mn that a rejected pair's columns share a non-linear shape.
+
+    Of the shared shapes, the one with the fewest rows (the mask with the most
+    trailing ones) is the cheapest to sweep downward; both of its values must
+    equal the upward sweep's, which are non-zero.  RuntimeError names a shape
+    where they differ.
+    """
+    from .characters import _mn  # here: a pair that covers never needs it
+
+    # m ^ (m + 1) is m's trailing ones and the bit above them
+    mask = max(shared, key=lambda m: ((m ^ (m + 1)).bit_length(), -m))
+    lam = _shape(mask, n)
+    for cls in (mu, nu):
+        swept, downward = columns[cls][mask], _mn(lam, cls)
+        if swept != downward:
+            raise RuntimeError(
+                f"chi_{lam}({cls}) at n={n}: the column sweep gives {swept}, "
+                f"the Murnaghan-Nakayama sweep {downward}"
+            )
+
+
+def covering_pairs(n: int) -> CoveringPairReport:
+    """The covering pairs of S_n for 4 <= n <= MAX_PARTITION_SIZE, with no character table.
+
+    Lemma: for n >= 4, if {mu, nu} covers, then sign(mu) != sign(nu), and both
+    z_mu and z_nu (centralizer_order) divide n(n - 1).  Proof: when only the
+    two linear rows are left in Frobenius' character sum, the structure
+    constant is a = |C_mu| |C_nu| (1 + sign(mu) sign(nu) sign(gamma)) / n!.
+    For a fixed x in C_mu, the number of y in C_nu with xy in C_gamma is
+    |C_gamma| a / |C_mu|, an integer, so |C_gamma| |C_nu| (1 + sign(mu)
+    sign(nu) sign(gamma)) / n! is one; so is the same with mu and nu swapped,
+    since class sums commute.  gamma = (1^n) with sign(mu) = sign(nu) would
+    make 2 / z_nu an integer, impossible for n >= 4, where every z is at
+    least 3.  gamma = (2, 1^(n-2)) is odd, so the factor is 2 and
+    n(n - 1) / z_nu must be an integer.
+
+    So the candidates are the classes with z | n(n - 1) (_candidates), and
+    an opposite-sign pair of them covers exactly when the supports of their
+    columns (_column) share no non-linear shape.  Each column's values at (n)
+    and (1^n), 1 and the class's sign, are checked as they are set aside, and
+    each rejected pair is re-checked by _recheck.  Pairs come in the order of
+    find_covering_pairs.  An n outside 4..MAX_PARTITION_SIZE raises ValueError
+    before any work, as does a sweep step past MAX_MN_SHAPES.
+    """
+    as_int(n, "the n of a column sweep", low=4, high=MAX_PARTITION_SIZE)
+    trivial = ((1 << (n - 1)) - 1) | (1 << (2 * n - 1))  # (n): one bead at 2n - 1
+    sign = ((1 << n) - 1) << 1  # (1^n): every bead one above the empty shape
+    columns: dict[Partition, dict[int, int]] = {}
+    for mu in _candidates(n):
+        column = _column(mu, n)
+        linear = column.pop(trivial, None), column.pop(sign, None)
+        if linear != (1, sign_value(mu)):
+            raise RuntimeError(
+                f"the column sweep of {mu} at n={n} gives {linear} at (n) and (1^n), "
+                f"not (1, {sign_value(mu)})"
+            )
+        columns[mu] = column
+    classes = list(columns)
+    pairs: list[Pair] = []
+    for a, mu in enumerate(classes):
+        for nu in classes[a + 1 :]:
+            if sign_value(mu) == sign_value(nu):
+                continue
+            shared = columns[mu].keys() & columns[nu].keys()
+            if shared:
+                _recheck(n, mu, nu, shared, columns)
+            else:
+                pairs.append((mu, nu))
+    return CoveringPairReport(n=n, pairs=tuple(pairs))

@@ -279,6 +279,46 @@ def covering_pairs_oracle(
     return {(labels[i], labels[j]) for i, j in alive}
 
 
+# --- covering pairs from the class algebra alone -----------------------------
+
+
+def covering_pairs_by_class_algebra(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The covering pairs of S_n, read off class multiplication with no character value.
+
+    Fix g of cycle type mu.  {mu, nu} covers exactly when, for every class
+    gamma, the number of y in C_nu with g*y in C_gamma equals
+    |C_nu| |C_gamma| (1 + sgn mu sgn nu sgn gamma) / n!, the count that the
+    linear characters alone give (for n = 1, whose one character is both
+    linear ones, |C_nu| |C_gamma| / n!).  "Only if" is Frobenius' character
+    sum; "if" holds because the characters, as functions of gamma, are
+    linearly independent.  One tally of (type of y, type of g*y) over all of
+    S_n per class mu gives every nu's counts at once.  Pairs (mu, nu) have mu
+    at or before nu in the canonical order, descending lexicographic.
+    """
+    group = list(itertools.permutations(range(n)))
+    types = [perm_cycle_type(y) for y in group]
+    sizes = collections.Counter(types)
+    classes = sorted(sizes, reverse=True)
+
+    def sign(mu: tuple[int, ...]) -> int:
+        return -1 if (n - len(mu)) % 2 else 1
+
+    pairs = []
+    for a, mu in enumerate(classes):
+        g = rep_of_type(mu)
+        tally = collections.Counter(
+            (kind, perm_cycle_type(tuple(g[image] for image in y))) for y, kind in zip(group, types)
+        )
+        for nu in classes[a:]:
+            linear = [1 if n == 1 else 1 + sign(mu) * sign(nu) * sign(gamma) for gamma in classes]
+            if all(
+                tally[nu, gamma] * math.factorial(n) == sizes[nu] * sizes[gamma] * factor
+                for gamma, factor in zip(classes, linear)
+            ):
+                pairs.append((mu, nu))
+    return tuple(pairs)
+
+
 # --- structure constants by convolution of indicator functions ----------------
 
 

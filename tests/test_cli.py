@@ -173,7 +173,9 @@ def test_unreadable_cache_file_is_io_failure(cache, capsys, content):
     path = table_cache_path(cache, 5)
     path.parent.mkdir(parents=True)
     path.write_bytes(_tampered_s5(path) if content is None else content)
-    for argv in (["chartable", "5"], ["vanishing-pairs", "5", "--format", "csv"]):
+    # vanishing-pairs 5 reads no table: it sweeps columns
+    product = ["structure-constant", "--mu", "5", "--nu", "4,1", "--gamma", "3,2"]
+    for argv in (["chartable", "5"], product):
         assert main(["--cache-dir", cache, *argv]) == EXIT_IO_FAILURE, argv
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -331,7 +333,7 @@ _ALGEBRA = ["symchar.characters", "symchar.class_algebra", "symchar.cli", "symch
         (["eval", "--lambda", "6,1", "--mu", "4,3", "--method", "recursion"], _FORMULAS),
         (["eval", "--lambda", "6,1", "--mu", "4,3", "--method", "mn"], _TABLE),
         (["chartable", "3"], _TABLE),
-        (["vanishing-pairs", "7"], [*_TABLE, "symchar.vanishing"]),
+        (["vanishing-pairs", "7"], ["symchar.cli", "symchar.partitions", "symchar.vanishing"]),
         (["structure-constant", "--mu", "3", "--nu", "2,1", "--gamma", "2,1", "--verify"], _ALGEBRA),
         (["structure-constant", "--mu", "3", "--nu", "2,1", "--gamma", "2,1"], _ALGEBRA),
         (
@@ -351,8 +353,28 @@ def test_request_imports_only_its_modules(cache, tmp_path, argv, modules):
     assert code == EXIT_OK, done.stderr
     assert loaded == modules
     assert not added_dataclasses  # it imports inspect: 10-15 ms of start-up
-    if argv[0] in ("--help", "eval"):
+    if argv[0] in ("--help", "eval", "vanishing-pairs"):
         assert not hashlib_loaded
+
+
+@pytest.mark.parametrize("n, modules", [(7, []), (40, ["symchar.characters"])], ids=["7", "40"])
+def test_vanishing_pairs_past_three_reads_no_table(cache, tmp_path, capsys, monkeypatch, n, modules):
+    # n = 40 has rejected candidate pairs, whose re-check loads characters
+    import symchar.characters as characters_module
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built, loaded or saved")
+
+    for name in ("_table_values", "load_table", "save_table"):
+        monkeypatch.setattr(characters_module, name, no_table)
+    assert main(["--cache-dir", cache, "vanishing-pairs", str(n), "--format", "csv"]) == EXIT_OK
+    assert capsys.readouterr().out == f"mu,nu\n{n},{n - 1}.1\n"
+    done = _run_python(["-c", _FOOTPRINT, "--cache-dir", cache, "vanishing-pairs", str(n)], tmp_path)
+    code, loaded, hashlib_loaded, _ = json.loads(done.stdout.splitlines()[-1])
+    assert code == EXIT_OK, done.stderr
+    assert loaded == sorted(["symchar.cli", "symchar.partitions", "symchar.vanishing", *modules])
+    assert not hashlib_loaded
+    assert not Path(cache).exists()
 
 
 def test_table_requests_never_import_json(tmp_path):
@@ -426,6 +448,29 @@ def test_non_integer_count_is_a_usage_error(cache, capsys, argv, text):
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1
     assert errors[0].endswith(f"expected a positive integer, got {text}")
+    assert not Path(cache).exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chartable", "\u0663"],
+        ["chartable", "+3"],
+        ["chartable", "1_0"],
+        ["eval", "--lambda", "\uff13,1", "--mu", "2,2"],
+    ],
+    ids=["arabic-indic-digit", "signed", "underscore", "fullwidth-part"],
+)
+def test_sizes_and_parts_are_ascii_digits_only(cache, capsys, argv):
+    # int() reads each of these as 3, 3, 10 and 3
+    try:
+        code = main(["--cache-dir", cache, *argv])
+    except SystemExit as e:  # argparse refuses a size
+        code = e.code
+    assert code == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a positive integer, got" in captured.err
     assert not Path(cache).exists()
 
 
@@ -751,9 +796,10 @@ def test_verify_skips_table_suites_beyond_the_table_limit(cache, capsys, monkeyp
     argv = ["--cache-dir", cache, "--brute-force-limit", "9"]
     code = main([*argv, "verify", "--suite", "all", "--n-min", "7", "--n-max", "8"])
     assert code == EXIT_OK
+    # the theorem suite sweeps columns past the table
     assert _verify_lines(capsys.readouterr().out) == [
         "PASS theorem n=7",
-        "SKIP theorem n=8 (beyond table limit 7)",
+        "PASS theorem n=8",
         "PASS orthogonality n=7",
         "SKIP orthogonality n=8 (beyond table limit 7)",
         "PASS formulas n=7",
@@ -761,6 +807,51 @@ def test_verify_skips_table_suites_beyond_the_table_limit(cache, capsys, monkeyp
         "PASS structure n=7",
         "SKIP structure n=8 (beyond table limit 7)",
     ]
+
+
+def test_verify_theorem_runs_past_the_table_limit(cache, capsys):
+    argv = ["--cache-dir", cache, "verify", "--suite", "theorem", "--n-min", "29", "--n-max", "30"]
+    assert main(argv) == EXIT_OK
+    assert _verify_lines(capsys.readouterr().out) == ["PASS theorem n=29", "PASS theorem n=30"]
+    assert not Path(cache).exists()
+
+
+def test_verify_theorem_fails_when_the_routes_disagree(cache, capsys, monkeypatch):
+    import symchar.vanishing as vanishing_module
+
+    def no_pairs(n):
+        return vanishing_module.CoveringPairReport(n=n, pairs=())
+
+    monkeypatch.setattr(vanishing_module, "covering_pairs", no_pairs)
+    argv = ["--cache-dir", cache, "verify", "--suite", "theorem", "--n-min", "8", "--n-max", "8"]
+    assert main(argv) == EXIT_VERIFY_FAILED
+    assert _verify_lines(capsys.readouterr().out) == [
+        "FAIL theorem n=8",
+        "     the table scan found (((8,), (7, 1)),), the column sweep ()",
+    ]
+
+
+def test_a_sweep_past_its_width_bound_is_refused(cache, capsys, monkeypatch):
+    # (16,) sweeps 16 shapes; the bound is checked after every step
+    import symchar.vanishing as vanishing_module
+
+    monkeypatch.setattr(vanishing_module, "MAX_MN_SHAPES", 15)
+    assert main(["--cache-dir", cache, "vanishing-pairs", "16"]) == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the column of (16,) at n=16: a step of the sweep holds 16 shapes, "
+        "past the bound MAX_MN_SHAPES = 15\n"
+    )
+    # in verify, a check that raises is a FAIL line
+    argv = ["--cache-dir", cache, "verify", "--suite", "theorem", "--n-min", "29", "--n-max", "29"]
+    assert main(argv) == EXIT_VERIFY_FAILED
+    assert _verify_lines(capsys.readouterr().out) == [
+        "FAIL theorem n=29",
+        "     raised ValueError: the column of (29,) at n=29: a step of the sweep holds 29 "
+        "shapes, past the bound MAX_MN_SHAPES = 15",
+    ]
+    assert not Path(cache).exists()
 
 
 def test_verify_formulas_skips_past_the_table_limit(cache, capsys):
@@ -780,9 +871,11 @@ def test_verify_theorem_fails_when_no_pair_covers(cache, capsys):
     save_table(table._replace(values=tuple(values)), table_cache_path(cache, 7))
     code = main(["--cache-dir", cache, "verify", "--suite", "theorem", "--n-min", "7", "--n-max", "7"])
     assert code == EXIT_VERIFY_FAILED
+    # the column sweep reads no table, so it still finds the pair
     assert _verify_lines(capsys.readouterr().out) == [
         "FAIL theorem n=7",
         "     expected covering pair not found: (7,) , (6, 1)",
+        "     the table scan found (), the column sweep (((7,), (6, 1)),)",
     ]
 
 
@@ -852,18 +945,21 @@ def test_verify_reports_a_wrong_route(cache, capsys, monkeypatch, route, wrong_a
 
 
 def test_a_linear_degree_on_a_nonlinear_row_stops_the_pair_scan(cache, capsys):
-    # chi_(4,1) has degree 4; saved as 1, so the file's digest matches, and
-    # the two criteria for a linear row disagree
+    # a degree above 1 saved as 1, so the file's digest matches, and the two
+    # criteria for a linear row disagree: chi_(4,1) of S_5 for the library
+    # scan, and chi_(2,1) of S_3 for vanishing-pairs, which scans a table only
+    # below n = 4
     from symchar import find_covering_pairs
 
-    table = character_table(5)
-    values = [list(row) for row in table.values]
-    values[table.index((4, 1))][-1] = 1
-    save_table(table._replace(values=tuple(map(tuple, values))), table_cache_path(cache, 5))
+    for n, lam in ((5, (4, 1)), (3, (2, 1))):
+        table = character_table(n)
+        values = [list(row) for row in table.values]
+        values[table.index(lam)][-1] = 1
+        save_table(table._replace(values=tuple(map(tuple, values))), table_cache_path(cache, n))
     damaged = load_table(table_cache_path(cache, 5))
     with pytest.raises(RuntimeError, match="linear-character criteria disagree"):
         find_covering_pairs(damaged)
-    assert main(["--cache-dir", cache, "vanishing-pairs", "5"]) == EXIT_VERIFY_FAILED
+    assert main(["--cache-dir", cache, "vanishing-pairs", "3"]) == EXIT_VERIFY_FAILED
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
@@ -893,12 +989,14 @@ def test_table_commands_refuse_past_the_table_limit(cache, capsys, monkeypatch):
         raise AssertionError(f"the table of S_{n} was built")
 
     monkeypatch.setattr(characters_module, "_table_values", no_build)
-    for argv in (["vanishing-pairs", "40"], ["chartable", "40", "--format", "json"]):
-        assert main(["--cache-dir", cache, *argv]) == EXIT_INVALID_INPUT, argv
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert "table limit" in captured.err
+    assert main(["--cache-dir", cache, "chartable", "40", "--format", "json"]) == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "table limit" in captured.err
+    # vanishing-pairs sweeps a few columns instead, so it answers past the table
+    assert main(["--cache-dir", cache, "vanishing-pairs", "40", "--format", "csv"]) == EXIT_OK
+    assert capsys.readouterr().out == "mu,nu\n40,39.1\n"
     assert not Path(cache).exists()
 
 
@@ -930,7 +1028,7 @@ def test_verify_refuses_n_max_past_the_size_budget(cache, capsys, monkeypatch):
     [
         (KeyError("k"), "characters", "mn_char", ["eval", "--lambda", "2,1", "--mu", "3"]),
         (TypeError("t"), "characters", "character_table", ["chartable", "3"]),
-        (IndexError("i"), "vanishing", "find_covering_pairs", ["vanishing-pairs", "7"]),
+        (IndexError("i"), "vanishing", "covering_pairs", ["vanishing-pairs", "7"]),
         (
             MemoryError(),
             "class_algebra",

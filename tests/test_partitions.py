@@ -186,7 +186,9 @@ def test_parse_partition():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "2^3", "0", "-2", "x", "3,,1", "1^0", "1^-1", "1^", "^2", "2.5"]
+    "bad",
+    ["", "2^3", "0", "-2", "x", "3,,1", "1^0", "1^-1", "1^", "^2", "2.5",
+     "+3", "1_0", "\u0663", "\uff13,1", "1^+2"],
 )
 def test_parse_partition_rejects(bad):
     with pytest.raises(ValueError):

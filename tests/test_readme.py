@@ -29,14 +29,14 @@ def test_readme_examples_run(tmp_path, monkeypatch):
             continue
         assert eval(code, namespace) == want, line
         stated.append(want)
-    assert stated == [-1, (((8,), (7, 1)),)]
+    assert stated == [-1, (((8,), (7, 1)),), (((100,), (99, 1)),)]
     # "Command line": every symchar line exits 0
     lines = [
         line.partition("#")[0]
         for line in _first_block("## Command line", "sh").splitlines()
         if line.startswith("symchar ")
     ]
-    assert len(lines) == 9
+    assert len(lines) == 10
     for line in lines:
         argv = ["--cache-dir", str(tmp_path / "cache"), *shlex.split(line)[1:]]
         assert main(argv) == 0, line

@@ -2,17 +2,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import character_table_oracle, covering_pairs_oracle
+from oracles import (
+    _beta_mask,
+    character_table_oracle,
+    covering_pairs_by_class_algebra,
+    covering_pairs_oracle,
+)
 from symchar import (
     CharTable,
     CoveringPairReport,
+    centralizer_order,
     character_table,
+    covering_pairs,
     covers_all_nonlinear,
     find_covering_pairs,
     mn_char,
     partitions_of,
     sign_value,
 )
+from symchar.partitions import MAX_PARTITION_SIZE, iter_partitions
+from symchar.vanishing import _candidates, _column
 
 
 def _zero_set(lam, table):
@@ -200,3 +209,84 @@ def test_one_cover_rule(table_for):
     for n in range(1, 10):
         t = table_for(n)
         _assert_one_cover_rule(t, set(find_covering_pairs(t).pairs))
+
+
+# --- covering_pairs: class sizes and a few swept columns, no table -----------
+
+
+def test_covering_pairs_equal_the_table_scan(table_for):
+    # table_for keeps what it builds for the session: 23 and 24 are dropped
+    for n in range(4, 25):
+        table = table_for(n) if n <= 22 else character_table(n)
+        assert covering_pairs(n) == find_covering_pairs(table), n
+
+
+def test_covering_pairs_past_the_table_are_the_theorem_pair():
+    for n in range(25, 61):
+        assert covering_pairs(n).pairs == (((n,), (n - 1, 1)),), n
+
+
+def test_candidates_are_the_classes_whose_centralizer_divides_n_n_minus_1():
+    for n in range(1, 41):
+        plain = tuple(mu for mu in iter_partitions(n) if n * (n - 1) % centralizer_order(mu) == 0)
+        assert tuple(_candidates(n)) == plain, n
+
+
+def test_swept_columns_equal_the_table_columns(table_for):
+    for n in range(1, 21):
+        t = table_for(n)
+        masks = [_beta_mask(lam, n) for lam in t.order]
+        for mu, column in zip(t.order, zip(*t.values)):
+            assert _column(mu, n) == {m: v for m, v in zip(masks, column) if v}, (n, mu)
+
+
+def test_covering_pairs_refuses_outside_its_range():
+    # the lemma needs n >= 4; past the size budget nothing is swept
+    for n in (0, 3, True, 4.0, MAX_PARTITION_SIZE + 1):
+        with pytest.raises(ValueError, match="the n of a column sweep must be an int in 4.."):
+            covering_pairs(n)
+
+
+def test_a_rejected_pair_is_rechecked_by_the_downward_sweep(monkeypatch):
+    import symchar.characters as characters_module
+
+    # n = 9 rejects 14 candidate pairs, and each re-check reads both values
+    calls = []
+    right = characters_module._mn
+
+    def recorded(lam, mu):
+        calls.append((lam, mu))
+        return right(lam, mu)
+
+    monkeypatch.setattr(characters_module, "_mn", recorded)
+    assert covering_pairs(9).pairs == (((9,), (8, 1)),)
+    assert len(calls) == 2 * 14
+    monkeypatch.setattr(characters_module, "_mn", lambda lam, mu: 0)
+    with pytest.raises(RuntimeError, match=r"at n=9: the column sweep gives -?\d+, the Murnaghan"):
+        covering_pairs(9)
+
+
+def test_the_linear_values_of_every_swept_column_are_checked(monkeypatch):
+    import symchar.vanishing as vanishing_module
+
+    def sign_flipped(mu, n):
+        column = _column(mu, n)
+        column[((1 << n) - 1) << 1] *= -1  # chi_(1^n)(mu), the sign of mu
+        return column
+
+    monkeypatch.setattr(vanishing_module, "_column", sign_flipped)
+    with pytest.raises(RuntimeError, match=r"the column sweep of \(7,\) at n=7 gives \(1, -1\)"):
+        covering_pairs(7)
+
+
+def test_class_algebra_finds_the_same_pairs_and_the_lemma_holds(table_for):
+    # the oracle reads no character value and shares no code with symchar
+    for n in range(1, 8):
+        pairs = covering_pairs_by_class_algebra(n)
+        assert pairs == find_covering_pairs(table_for(n)).pairs, n
+        if n >= 4:
+            assert pairs == covering_pairs(n).pairs, n
+            for mu, nu in pairs:
+                assert sign_value(mu) != sign_value(nu), (n, mu, nu)
+                assert n * (n - 1) % centralizer_order(mu) == 0, (n, mu)
+                assert n * (n - 1) % centralizer_order(nu) == 0, (n, nu)
