@@ -8,19 +8,22 @@ smallest parts of a class of n.  Classes in canonical order are grouped by
 largest part k, and a row's group k is the sum, over the k-strip removals
 from its shape, of sign * the last slots of the row of level m - k that
 the removal leaves: one big-int addition per removal, every slot of the
-group at once.  Each step finds a shape's removals as it walks its int
-bitmask beta-set, and adds or subtracts each term as it finds it.  The rows
-of level n are unpacked into tuples of ints as they are made.  Rows and
-columns follow the canonical partition order of partitions_of(n).
+group at once.  Each level's shapes are int bitmask beta-sets made from the
+levels below, one bead put on top; each step finds a shape's removals as it
+walks its mask, and adds or subtracts each term, looked up by the mask the
+removal leaves, as it finds it.  The rows of level n come out as signed
+slots and are unpacked into tuples of ints one at a time.  Rows and columns
+follow the canonical partition order of partitions_of(n).
 
 An optional disk cache holds one binary file per n: a fixed header, the
 p(n)^2 values as signed 64-bit little-endian ints, row-major, and a SHA-256
 of everything before it.  A cold build packs its rows with struct, and a
 warm load is one digest and one struct unpack: no text is parsed.
-table_to_json is the `chartable --format json` encoder, and table_from_json
-its inverse; the cache never reads or writes JSON.  CharTable.row_text joins
-each row's str() values by commas each time it is read, and a request reads
-it at most once: in the JSON encoder or in the CLI's csv writer.
+table_json_lines is the `chartable --format json` encoder, a row at a time,
+table_to_json its text joined, and table_from_json the inverse; the cache
+never reads or writes JSON.  CharTable.row_lines() makes each row's line,
+its str() values joined by commas, as it is read, and a request reads them
+at most once: in the JSON encoder or in the CLI's csv writer.
 
 mn_char(lam, mu) is the independent single-value route: one forward sweep
 of the Murnaghan-Nakayama rule over len(lam)-bead masks, peeling the parts
@@ -37,7 +40,7 @@ import os
 import struct
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .partitions import (
     MAX_MN_SHAPES,
@@ -62,6 +65,7 @@ __all__ = [
     "reset_mn_memo",
     "mn_memo_size",
     "table_cache_path",
+    "table_json_lines",
     "table_to_json",
     "table_from_json",
     "save_table",
@@ -217,11 +221,10 @@ class CharTable(NamedTuple):
         """The canonical partitions of n, labels of both rows and columns."""
         return partitions_of(self.n)
 
-    @property
-    def row_text(self) -> tuple[str, ...]:
-        """One line per row of values: their str() joined by commas."""
+    def row_lines(self) -> Iterator[str]:
+        """One line per row of values, their str() joined by commas, each made as it is read."""
         line = ",".join(["%s"] * len(self.order))
-        return tuple(map(line.__mod__, self.values))
+        return map(line.__mod__, self.values)
 
     def index(self, p: Partition) -> int:
         """Position of the label p in order; its parts may come in any order."""
@@ -235,16 +238,36 @@ class CharTable(NamedTuple):
         return self.values[self.index(lam)][self.index(mu)]
 
 
-def _level(m: int, n: int) -> dict[int, int]:
-    """The partitions of m in canonical order, as {n-bead beta mask: index}.
+def _part_counts(n: int) -> list[list[int]]:
+    """fits[j][k], for j, k in 0..n: the number of partitions of j with no part above k."""
+    fits = [[1] * (n + 1)]
+    for j in range(1, n + 1):
+        counts = [0]
+        for k in range(1, n + 1):
+            counts.append(counts[-1] + (fits[j - k][k] if k <= j else 0))
+        fits.append(counts)
+    return fits
+
+
+def _bead_levels(n: int, fits: list[list[int]]) -> list[list[int]]:
+    """For m = 0..n, the partitions of m in canonical order, as n-bead beta masks.
 
     A partition lam of m <= n has its bead i at lam[i] + n - 1 - i; the beads
-    past its last part fill the low n - len(lam) positions.
+    past its last part fill the low n - len(lam) positions.  Level m is made
+    from the levels below: its partitions with largest part k, in order, are
+    k put on top of the partitions of m - k with no part above k, which are
+    the last fits[m - k][k] of level m - k.  Putting k on top adds a bead at
+    k + n - 1 and moves every bead of the shape below down one, dropping its
+    lowest empty-row bead.
     """
-    return {
-        sum(1 << (part + n - 1 - i) for i, part in enumerate(lam)) | ((1 << (n - len(lam))) - 1): j
-        for j, lam in enumerate(iter_partitions(m))
-    }
+    levels = [[(1 << n) - 1]]
+    for m in range(1, n + 1):
+        level: list[int] = []
+        for k in range(m, 0, -1):
+            top = 1 << (k + n - 1)
+            level += [top | (mask >> 1) for mask in levels[m - k][-fits[m - k][k] :]]
+        levels.append(level)
+    return levels
 
 
 # A packed row holds one value per 64-bit slot, slot j at bits 64j..64j+63,
@@ -261,75 +284,78 @@ def _bias(slots: int) -> int:
 
 def _add_strips(
     source_rows: list[int],
+    source: list[int],
     start: int,
     size: int,
-    shapes: dict[int, int],
-    target: dict[int, int],
+    target: list[int],
     k: int,
+    signed: bool,
 ) -> Iterator[bytes]:
     """Pull slots start .. start + size - 1, the last, of packed source rows up a k-strip.
 
-    Yields, for each shape of target in order, the packed bytes of the sum of
+    source and target are the bead masks of the source and target levels,
+    source_rows the packed rows of the source shapes in the same order.
+    Yields, for each target shape in order, the packed bytes of the sum of
     sign * (those slots of the source row left by a removal) over its k-strip
-    removals: one big-int addition per removal, the slots added in parallel.
-    shapes and target are the _level dicts of the source and target levels.
-    Removing a strip moves a bead b >= k to the free position b - k; the
-    strip's height is one more than the number of beads strictly between
-    them, so that count's parity is the sign.
+    removals: one dict lookup and one big-int addition per removal, the slots
+    added in parallel.  signed yields each slot as a signed 64-bit value, the
+    bias flipped off, where a packed row keeps it.  Removing a strip moves a
+    bead b >= k to the free position b - k; the strip's height is one more
+    than the number of beads strictly between them, so that count's parity
+    is the sign.
     """
     bias = _bias(size)
-    terms = [(row >> 64 * start) - bias for row in source_rows]
+    flip = bias if signed else 0
+    terms = {mask: (row >> 64 * start) - bias for mask, row in zip(source, source_rows)}
     between = (1 << (k - 1)) - 1
+    high = -(1 << k)  # the positions k and up
     nbytes = 8 * size
     for mask in target:
         total = bias
-        removable = mask & ~(mask << k) & -(1 << k)  # beads b >= k with b - k free
+        removable = mask & ~(mask << k) & high  # beads b >= k with b - k free
         while removable:
             bit = removable & -removable
             removable ^= bit
-            term = terms[shapes[mask ^ bit ^ (bit >> k)]]
+            term = terms[mask ^ bit ^ (bit >> k)]
             if ((mask >> (bit.bit_length() - k)) & between).bit_count() & 1:
                 total -= term
             else:
                 total += term
-        yield total.to_bytes(nbytes, "little")
+        yield (total ^ flip).to_bytes(nbytes, "little")
 
 
 def _table_values(n: int) -> tuple[tuple[int, ...], ...]:
     """The rows of the character table of S_n, rows and columns in canonical order.
 
     Level m holds one packed row per shape of m, with a slot for each class
-    of m whose parts are at most n - m (all classes at m = n).  Canonical
-    order sorts classes by largest part, descending, and a class of m with
-    largest part k is k added to a class of m - k with parts at most k, which
-    are the last slots of level m - k.  So row lam's group of slots for k is
-    the sum over the k-strip removals from lam of sign * those slots of the
-    row left: the Murnaghan-Nakayama rule, one level at a time, each group
-    summed by _add_strips as it walks the bead masks of level m.  Level n's
-    rows are unpacked as they are assembled, so they are never all packed.
+    of m whose parts are at most n - m (all classes at m = n); its shapes'
+    bead masks come from the levels below (_bead_levels).  Canonical order
+    sorts classes by largest part, descending, and a class of m with largest
+    part k is k added to a class of m - k with parts at most k, which are the
+    last slots of level m - k.  So row lam's group of slots for k is the sum
+    over the k-strip removals from lam of sign * those slots of the row left:
+    the Murnaghan-Nakayama rule, one level at a time, each group summed by
+    _add_strips as it walks the bead masks of level m.  Level n's groups come
+    out as signed slots, so each of its rows goes from their joined bytes
+    straight to struct.unpack, and only one of them is packed at a time.
     """
     # |chi|^2 <= n!, so every value fits a signed 64-bit slot while n! < 2^126
     if math.factorial(n) >= 1 << 126:
         raise ValueError(f"the values of S_{n} may not fit a 64-bit slot: n! >= 2^126")
-    # fits[j][k]: the number of partitions of j with no part above k
-    fits = [[1] * (n + 1)]
-    for j in range(1, n + 1):
-        counts = [0]
-        for k in range(1, n + 1):
-            counts.append(counts[-1] + (fits[j - k][k] if k <= j else 0))
-        fits.append(counts)
-    levels = [_level(m, n) for m in range(n + 1)]
+    fits = _part_counts(n)
+    levels = _bead_levels(n, fits)
 
     def rows(m: int) -> Iterator[bytes]:
         # slot groups by largest part k, descending, so a row is their bytes joined
         groups = [
             _add_strips(
                 packed[m - k],
+                levels[m - k],
                 fits[m - k][n - m + k] - fits[m - k][k],
                 fits[m - k][k],
-                levels[m - k],
                 levels[m],
                 k,
+                m == n,
             )
             for k in range(min(m, n - m or n), 0, -1)
         ]
@@ -338,13 +364,7 @@ def _table_values(n: int) -> tuple[tuple[int, ...], ...]:
     packed = [[_bias(1) + 1]]  # the empty shape at the empty class
     for m in range(1, n):
         packed.append([int.from_bytes(row, "little") for row in rows(m)])
-    width = len(levels[n])
-    bias = _bias(width)
-    unpack = _row_struct(width).unpack
-    return tuple(
-        unpack((int.from_bytes(row, "little") ^ bias).to_bytes(8 * width, "little"))
-        for row in rows(n)
-    )
+    return tuple(map(_row_struct(len(levels[n])).unpack, rows(n)))
 
 
 def _row_struct(width: int) -> struct.Struct:
@@ -448,7 +468,7 @@ def save_table(table: CharTable, path: str | Path) -> None:
     digest = _sha256(header)
     digest.update(body)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, header, body, digest.digest())
+    write_atomic(path, (header, body, digest.digest()))
 
 
 def load_table(path: str | Path) -> CharTable:
@@ -487,12 +507,12 @@ def load_table(path: str | Path) -> CharTable:
     return CharTable(n=n, values=tuple(_row_struct(width).iter_unpack(body)))
 
 
-def write_atomic(path: str | Path, *chunks: bytes) -> None:
-    """Write the byte chunks to a temporary file beside path, sync it, then rename it over path.
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write the byte chunks as they come to a file beside path, sync it, then rename it over path.
 
-    An interrupted write or a crash leaves the old file (or none), never a
-    truncated one; on any failure the temporary file is removed, and an
-    OSError with an errno is raised again naming path.
+    An interrupted write, a crash or an error from chunks leaves the old file
+    (or none), never a truncated one; on any failure the temporary file is
+    removed, and an OSError with an errno is raised again naming path.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -527,30 +547,33 @@ def _payload_hash(n: int):
     return _sha256(f"{SCHEMA_VERSION}\n{n}\n".encode("ascii"))
 
 
-def _json_rows(rows: list[str]) -> str:
-    # a list of non-empty string lists as json.dumps(indent=2) lays it out one
-    # level down; each entry of rows is already '",\n      "'-joined
-    return '[\n    [\n      "' + '"\n    ],\n    [\n      "'.join(rows) + '"\n    ]\n  ]'
+def table_json_lines(table: CharTable) -> Iterator[str]:
+    """The `chartable --format json` text a row at a time: json.dumps(payload, indent=2) + "\n".
+
+    payload holds schema_version, n, order, values and sha256, in that order,
+    every integer a decimal string.  Each piece is whole lines: the opening
+    keys, one piece per order entry and per row of values, and the closing
+    digest.  Each row's comma-joined line (for values, table.row_lines())
+    feeds the digest as it is made, and its commas become the JSON cell breaks.
+    """
+    digest = _payload_hash(table.n)
+    yield f'{{\n  "schema_version": "{SCHEMA_VERSION}",\n  "n": "{table.n}",\n'
+    for key, lines in (
+        ("order", (",".join(map(str, p)) for p in table.order)),
+        ("values", table.row_lines()),
+    ):
+        opener = f'  "{key}": [\n    [\n      "'
+        for line in lines:
+            digest.update((line + "\n").encode("ascii"))
+            yield opener + line.replace(",", '",\n      "') + '"\n'
+            opener = '    ],\n    [\n      "'
+        yield "    ]\n  ],\n"
+    yield f'  "sha256": "{digest.hexdigest()}"\n}}\n'
 
 
 def table_to_json(table: CharTable) -> str:
-    """The `chartable --format json` text: json.dumps(payload, indent=2) + "\n", built row by row.
-
-    payload holds schema_version, n, order, values and sha256, in that order,
-    every integer a decimal string.  Each row's comma-joined line (for values,
-    table.row_text) feeds the digest, and its commas become the JSON cell breaks.
-    """
-    digest = _payload_hash(table.n)
-    blocks = []
-    for lines in ([",".join(map(str, p)) for p in table.order], table.row_text):
-        for line in lines:
-            digest.update((line + "\n").encode("ascii"))
-        blocks.append(_json_rows([line.replace(",", '",\n      "') for line in lines]))
-    return (
-        f'{{\n  "schema_version": "{SCHEMA_VERSION}",\n  "n": "{table.n}",\n'
-        f'  "order": {blocks[0]},\n  "values": {blocks[1]},\n'
-        f'  "sha256": "{digest.hexdigest()}"\n}}\n'
-    )
+    """The whole `chartable --format json` text: table_json_lines(table) joined."""
+    return "".join(table_json_lines(table))
 
 
 # The decoders below raise ValueError or TypeError; table_from_json turns

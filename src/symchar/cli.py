@@ -20,7 +20,10 @@ MemoryError, ...) is a fault in symchar: exit 1 with one error line.
 JSON output renders every integer as a decimal string so arbitrarily large
 character values survive consumers that parse numbers as doubles.  Every
 writer turns a value into text by str(): the json and csv table writers
-print the table's row_text, the pretty writer one `%` format per row.
+print the table's row_lines(), the pretty writer one `%` format per row.
+Each chartable writer is one generator of lines, and each line goes to
+stdout, or through characters.write_atomic to the --out file, as it is made:
+no request holds the whole text.
 
 Each process is one request, and every module it imports is compiled anew
 when no bytecode cache is written, so library names are imported inside the
@@ -37,6 +40,8 @@ import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .characters import CharTable
     from .partitions import Partition
     from .vanishing import CoveringPairReport
@@ -137,14 +142,14 @@ def _build_parser() -> argparse.ArgumentParser:
 # --- chartable -------------------------------------------------------------
 
 
-def _render_table_csv(table: CharTable) -> str:
+def _table_csv_lines(table: CharTable) -> Iterator[str]:
     labels = _dots(table.order)
-    lines = [",".join(["", *labels])]
-    lines += [f"{label},{text}" for label, text in zip(labels, table.row_text)]
-    return "\n".join(lines) + "\n"
+    yield ",".join(["", *labels]) + "\n"
+    for label, text in zip(labels, table.row_lines()):
+        yield f"{label},{text}\n"
 
 
-def _render_table_pretty(table: CharTable) -> str:
+def _table_pretty_lines(table: CharTable) -> Iterator[str]:
     labels = _dots(table.order)
     # a column's longest entry is its label, its max or its min (the most negative)
     widths = [
@@ -152,22 +157,22 @@ def _render_table_pretty(table: CharTable) -> str:
         for label, column in zip(labels, zip(*table.values))
     ]
     # labels left-aligned, values right-aligned, two spaces between columns
-    line = "  ".join([f"%-{max(map(len, labels))}s", *(f"%{width}s" for width in widths)])
-    lines = [line % ("", *labels)]
-    lines += [line % (label, *row) for label, row in zip(labels, table.values)]
-    return "\n".join(lines) + "\n"
+    line = "  ".join([f"%-{max(map(len, labels))}s", *(f"%{width}s" for width in widths)]) + "\n"
+    yield line % ("", *labels)
+    for label, row in zip(labels, table.values):
+        yield line % (label, *row)
 
 
 def _cmd_chartable(args: argparse.Namespace) -> int:
-    from .characters import character_table, table_to_json, write_atomic
+    from .characters import character_table, table_json_lines, write_atomic
 
-    renderers = {"json": table_to_json, "csv": _render_table_csv, "pretty": _render_table_pretty}
+    writers = {"json": table_json_lines, "csv": _table_csv_lines, "pretty": _table_pretty_lines}
     table = character_table(args.n, cache_dir=args.cache_dir)
-    payload = renderers[args.format](table)
+    lines = writers[args.format](table)
     if args.out is not None:
-        write_atomic(args.out, payload.encode("utf-8"))
+        write_atomic(args.out, map(str.encode, lines))
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(lines)
     return EXIT_OK
 
 

@@ -346,7 +346,28 @@ def structure_constant_oracle(
     return count
 
 
-# --- the pretty table layout by one format string per line --------------------
+# --- the csv and pretty table layouts -----------------------------------------
+
+
+def csv_table_oracle(
+    labels: tuple[tuple[int, ...], ...], rows: tuple[tuple[object, ...], ...]
+) -> str:
+    """The `chartable --format csv` layout by the standard library's csv writer.
+
+    A header of the labels (parts joined by '.') after one empty cell, then
+    one line per row, its label first; no cell needs quoting.
+    """
+    import csv
+    import io
+
+    dotted = [".".join(map(str, p)) for p in labels]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["", *dotted])
+    writer.writerows([label, *row] for label, row in zip(dotted, rows))
+    return buffer.getvalue()
+
+
 
 
 def pretty_table_oracle(
@@ -380,6 +401,11 @@ def _beta_mask(lam: tuple[int, ...], n: int) -> int:
     for i in range(n):
         mask |= 1 << ((lam[i] if i < len(lam) else 0) + n - 1 - i)
     return mask
+
+
+def bead_masks_oracle(shapes: tuple[tuple[int, ...], ...], n: int) -> list[int]:
+    """The n-bead beta masks of shapes, in their order, each set a bead at a time."""
+    return [_beta_mask(lam, n) for lam in shapes]
 
 
 def _add_strips(coeffs: dict[int, int], k: int) -> dict[int, int]:

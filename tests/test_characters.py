@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import character_table_oracle, column_push_oracle, degree_by_hooks
+from oracles import bead_masks_oracle, character_table_oracle, column_push_oracle, degree_by_hooks
 from symchar import (
     CharTable,
     CharTableCacheError,
@@ -32,8 +32,9 @@ from symchar.characters import (
     MAX_TABLE_N,
     SCHEMA_VERSION,
     _add_strips,
+    _bead_levels,
     _bias,
-    _level,
+    _part_counts,
     _table_values,
     mn_memo_size,
     reset_mn_memo,
@@ -150,7 +151,8 @@ def test_mn_char_needs_no_table_build_and_no_border_strip_removals(monkeypatch):
     import symchar.characters as characters_module
 
     table = character_table(8)
-    for name in ("_level", "_add_strips", "_table_values", "border_strip_removals"):
+    build = ("_part_counts", "_bead_levels", "_add_strips", "_table_values")
+    for name in (*build, "border_strip_removals"):
 
         def refuse(*args, name=name):
             raise AssertionError(f"mn_char called {name}")
@@ -342,12 +344,23 @@ def test_build_refuses_values_past_the_slot_width_before_any_work(monkeypatch):
     # |chi| <= sqrt(n!) < 2^63 holds through n = 33, so n = 34 is the first refused
     assert math.factorial(33) < 1 << 126 <= math.factorial(34)
 
-    def no_level(m, n):
-        raise AssertionError(f"level {m} of S_{n} was built")
+    def no_levels(n, *args):
+        raise AssertionError(f"the levels of S_{n} were built")
 
-    monkeypatch.setattr(characters_module, "_level", no_level)
+    for name in ("_part_counts", "_bead_levels"):
+        monkeypatch.setattr(characters_module, name, no_levels)
     with pytest.raises(ValueError, match="64-bit slot"):
         _table_values(34)
+
+
+def test_build_levels_are_the_bead_masks_of_the_canonical_partitions():
+    # each level is made from the levels below it; the oracle sets every
+    # bead of every partition of m directly
+    for n in range(1, 21):
+        levels = _bead_levels(n, _part_counts(n))
+        assert len(levels) == n + 1, n
+        for m, level in enumerate(levels):
+            assert level == bead_masks_oracle(partitions_of(m), n), (n, m)
 
 
 def test_strip_steps_match_border_strip_removals():
@@ -356,8 +369,10 @@ def test_strip_steps_match_border_strip_removals():
     # step when a class of n, its parts added in ascending order, reaches m
     # just before a part k.  Source row i is one-hot at slot i, so each
     # yielded row reads off its removals: distinct removals leave distinct
-    # shapes, and no removal can hide behind another.
+    # shapes, and no removal can hide behind another.  A signed step (the
+    # last level's) yields the same sums with the bias flipped off.
     for n in range(1, 13):
+        levels = _bead_levels(n, _part_counts(n))
         steps = set()
         for mu in partitions_of(n):
             m = 0
@@ -368,14 +383,17 @@ def test_strip_steps_match_border_strip_removals():
             shapes = partitions_of(m)
             p = len(shapes)
             one_hot = [_bias(p) + (1 << 64 * i) for i in range(p)]
-            rows = list(_add_strips(one_hot, 0, p, _level(m, n), _level(m + k, n), k))
             targets = partitions_of(m + k)
-            assert len(rows) == len(targets), (n, m, k)
-            for lam, row in zip(targets, rows):
-                slots = [v - (1 << 63) for v in struct.unpack(f"<{p}Q", row)]
-                got = [(shapes[i], v) for i, v in enumerate(slots) if v]
-                expected = [(x.remaining, x.sign) for x in border_strip_removals(lam, k)]
-                assert sorted(got) == sorted(expected), (n, m, k, lam)
+            for signed, code in ((False, "Q"), (True, "q")):
+                rows = list(_add_strips(one_hot, levels[m], 0, p, levels[m + k], k, signed))
+                assert len(rows) == len(targets), (n, m, k)
+                for lam, row in zip(targets, rows):
+                    slots = struct.unpack(f"<{p}{code}", row)
+                    if not signed:
+                        slots = [v - (1 << 63) for v in slots]
+                    got = [(shapes[i], v) for i, v in enumerate(slots) if v]
+                    expected = [(x.remaining, x.sign) for x in border_strip_removals(lam, k)]
+                    assert sorted(got) == sorted(expected), (n, m, k, lam, signed)
 
 
 def test_table_build_leaves_mn_memo_untouched():
@@ -430,31 +448,31 @@ def _decimal_lines(table: CharTable) -> tuple[str, ...]:
 
 
 def test_row_text_is_the_decimal_lines_of_values(tmp_path):
-    assert character_table(1).row_text == ("1",)
-    assert character_table(2).row_text == ("1,1", "-1,1")
+    assert tuple(character_table(1).row_lines()) == ("1",)
+    assert tuple(character_table(2).row_lines()) == ("1,1", "-1,1")
     for n in range(1, 13):
         built = character_table(n)
         assert not hasattr(built, "__dict__")
-        assert built.row_text == _decimal_lines(built), n
+        assert tuple(built.row_lines()) == _decimal_lines(built), n
         path = tmp_path / f"t{n}.bin"
         save_table(built, path)
         loaded = load_table(path)
         # a cache file holds no text: the loaded table makes its lines from its values
         assert not hasattr(loaded, "__dict__"), n
-        assert loaded.row_text == _decimal_lines(loaded), n
+        assert tuple(loaded.row_lines()) == _decimal_lines(loaded), n
         assert loaded == built
         decoded = table_from_json(table_to_json(built))
         assert not hasattr(decoded, "__dict__"), n
-        assert decoded.row_text == _decimal_lines(built), n
+        assert tuple(decoded.row_lines()) == _decimal_lines(built), n
 
 
 def test_replaced_values_get_fresh_row_text(tmp_path):
     path = tmp_path / "t5.bin"
     save_table(character_table(5), path)
     for table in (character_table(5), load_table(path)):
-        old = table.row_text
+        old = tuple(table.row_lines())
         negated = table._replace(values=tuple(tuple(-v for v in row) for row in table.values))
-        assert negated.row_text == _decimal_lines(negated) != old
+        assert tuple(negated.row_lines()) == _decimal_lines(negated) != old
         assert table_from_json(table_to_json(negated)) == negated
 
 

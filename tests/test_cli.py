@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import pretty_table_oracle
+from oracles import csv_table_oracle, pretty_table_oracle
 from symchar import CharTable, CharTableCacheError, character_table, load_table, mn_char, save_table
 from symchar.characters import table_cache_path, table_from_json, table_to_json
 from symchar.cli import (
@@ -17,8 +17,8 @@ from symchar.cli import (
     EXIT_IO_FAILURE,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
-    _render_table_csv,
-    _render_table_pretty,
+    _table_csv_lines,
+    _table_pretty_lines,
     main,
     run,
 )
@@ -75,7 +75,7 @@ def test_chartable_pretty_matches_the_format_string_layout(cache, capsys, table_
 )
 def test_chartable_pretty_column_widths(values):
     table = CharTable(n=3, values=values)
-    assert _render_table_pretty(table) == pretty_table_oracle(table.order, table.values)
+    assert "".join(_table_pretty_lines(table)) == pretty_table_oracle(table.order, table.values)
 
 
 def test_every_writer_turns_a_value_into_text_by_str():
@@ -83,10 +83,43 @@ def test_every_writer_turns_a_value_into_text_by_str():
     # text unchanged, so the JSON round trip refuses it too
     table = character_table(3)
     table = table._replace(values=(table.values[0], (-1, 0, -1.5), table.values[2]))
-    assert table.row_text[1] == "-1,0,-1.5"
-    assert _render_table_csv(table).splitlines()[2] == "2.1,-1,0,-1.5"
+    assert list(table.row_lines())[1] == "-1,0,-1.5"
+    assert list(_table_csv_lines(table))[2] == "2.1,-1,0,-1.5\n"
     with pytest.raises(CharTableCacheError, match="'-1.5'"):
         table_from_json(table_to_json(table))
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "csv", "json"])
+def test_chartable_stdout_and_out_file_are_the_joined_writer(
+    cache, tmp_path, capsys, monkeypatch, fmt
+):
+    # each writer streams a line at a time, to stdout or through write_atomic;
+    # both must give the text of the writer joined, for built, loaded and
+    # hand-made tables (a -1.5 that save_table would refuse)
+    import symchar.characters as characters_module
+
+    joined = {
+        "pretty": lambda table: pretty_table_oracle(table.order, table.values),
+        "csv": lambda table: csv_table_oracle(table.order, table.values),
+        "json": table_to_json,
+    }[fmt]
+    s3 = character_table(3)
+    handmade = s3._replace(values=(s3.values[0], (-1, 0, -1.5), s3.values[2]))
+    for n in [*range(1, 9), None]:
+        if n is None:
+            monkeypatch.setattr(characters_module, "character_table", lambda n, cache_dir: handmade)
+            n, expected = 3, joined(handmade)
+        else:
+            expected = joined(character_table(n))
+        target = tmp_path / f"t{n}.{fmt}"
+        argv = ["--cache-dir", cache, "chartable", str(n), "--format", fmt]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert main([*argv, "--out", str(target)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out == expected, (n, fmt)
+        assert target.read_bytes() == out.encode("utf-8"), (n, fmt)
+    assert "-1.5" in out
 
 
 def test_chartable_json(cache, capsys):
@@ -125,18 +158,18 @@ def test_chartable_json_encodes_the_table_once(cache, capsys, monkeypatch):
     import symchar.cli as cli_module
 
     calls = []
-    encode = characters_module.table_to_json
+    encode = characters_module.table_json_lines
 
     def counted(table):
         calls.append(table.n)
         return encode(table)
 
     for module in (characters_module, cli_module):
-        monkeypatch.setattr(module, "table_to_json", counted, raising=False)
+        monkeypatch.setattr(module, "table_json_lines", counted, raising=False)
     assert main(["--cache-dir", cache, "chartable", "6", "--format", "json"]) == EXIT_OK
     assert calls == [6]
     out = capsys.readouterr().out
-    assert out == encode(character_table(6))
+    assert out == "".join(encode(character_table(6)))
     assert load_table(table_cache_path(cache, 6)) == character_table(6)
     # on a hit the loaded table is encoded once, to the same bytes
     calls.clear()
