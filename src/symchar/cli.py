@@ -10,9 +10,9 @@ partitions.MAX_MN_SHAPES), 3 I/O failure, 4 brute-force verification
 requested beyond the configured limit.  A size or a part is ASCII digits
 only (partitions.parse_positive_int).
 
-vanishing-pairs answers n <= 3 from the table, and every larger n from
-vanishing.covering_pairs, which reads no table and no cache file: past the
-table limit it still answers, up to partitions.MAX_PARTITION_SIZE.
+vanishing-pairs reads and writes no cache file: it answers n <= 3 from a
+table built in memory, and every larger n from vanishing.covering_pairs,
+with no table, past the table limit too, up to partitions.MAX_PARTITION_SIZE.
 
 Any other Exception a command raises (a KeyError, an ArithmeticError, a
 MemoryError, ...) is a fault in symchar: exit 1 with one error line.
@@ -264,7 +264,8 @@ def _cmd_vanishing_pairs(args: argparse.Namespace) -> int:
         from .characters import character_table
         from .vanishing import find_covering_pairs
 
-        report = find_covering_pairs(character_table(args.n, cache_dir=args.cache_dir))
+        # at most 3 x 3: building it costs less than reading a cache file
+        report = find_covering_pairs(character_table(args.n))
     else:
         from .vanishing import covering_pairs
 

@@ -13,8 +13,9 @@ has opposite signs, and both centralizer orders divide n(n - 1) (see
 covering_pairs for the proof), so only the few classes with z | n(n - 1)
 are candidates: their columns are swept upward by the Murnaghan-Nakayama
 rule, and an opposite-sign pair covers exactly when the supports of its two
-columns share no non-linear shape.  Each pair it rejects is re-checked by
-characters' independent downward sweep, which this module imports only then.
+columns share no non-linear shape.  Each pair it rejects is re-checked at
+the first shape both columns hold by characters' independent downward
+sweep, which this module imports only then.
 
 covers_all_nonlinear applies the scan's rule to one pair alone, and
 predicted_coefficient gives the structure constant that the rule forces on
@@ -132,12 +133,11 @@ def _column_masks(rows: list[tuple[int, ...]], width: int) -> list[int]:
 def covers_all_nonlinear(mu: Partition, nu: Partition, table: CharTable) -> bool:
     """True when every non-linear character vanishes on mu or on nu.
 
-    The pair scan's rule, on the masks of these two columns alone.
+    The pair scan's rule on these two columns alone: no non-linear row (as
+    _nonlinear_rows cross-checks them) is non-zero at both.
     """
     i, j = table.index(mu), table.index(nu)
-    rows = [(table.values[r][i], table.values[r][j]) for r in _nonlinear_rows(table)]
-    mask_mu, mask_nu = _column_masks(rows, 2)
-    return not mask_mu & mask_nu
+    return not any(table.values[r][i] and table.values[r][j] for r in _nonlinear_rows(table))
 
 
 def predicted_coefficient(
@@ -247,19 +247,16 @@ def _shape(mask: int, n: int) -> Partition:
 
 
 def _recheck(
-    n: int, mu: Partition, nu: Partition, shared: set[int], columns: dict[Partition, dict[int, int]]
+    n: int, mu: Partition, nu: Partition, mask: int, columns: dict[Partition, dict[int, int]]
 ) -> None:
     """Confirm by characters._mn that a rejected pair's columns share a non-linear shape.
 
-    Of the shared shapes, the one with the fewest rows (the mask with the most
-    trailing ones) is the cheapest to sweep downward; both of its values must
-    equal the upward sweep's, which are non-zero.  RuntimeError names a shape
-    where they differ.
+    mask is the first shape of mu's column that nu's column also holds; both
+    of its values must equal the upward sweep's, which are non-zero.
+    RuntimeError names the shape when they differ.
     """
     from .characters import _mn  # here: a pair that covers never needs it
 
-    # m ^ (m + 1) is m's trailing ones and the bit above them
-    mask = max(shared, key=lambda m: ((m ^ (m + 1)).bit_length(), -m))
     lam = _shape(mask, n)
     for cls in (mu, nu):
         swept, downward = columns[cls][mask], _mn(lam, cls)
@@ -312,9 +309,9 @@ def covering_pairs(n: int) -> CoveringPairReport:
         for nu in classes[a + 1 :]:
             if sign_value(mu) == sign_value(nu):
                 continue
-            shared = columns[mu].keys() & columns[nu].keys()
-            if shared:
-                _recheck(n, mu, nu, shared, columns)
-            else:
+            mask = next(filter(columns[nu].__contains__, columns[mu]), None)
+            if mask is None:
                 pairs.append((mu, nu))
+            else:
+                _recheck(n, mu, nu, mask, columns)
     return CoveringPairReport(n=n, pairs=tuple(pairs))

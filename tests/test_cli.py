@@ -367,6 +367,8 @@ _ALGEBRA = ["symchar.characters", "symchar.class_algebra", "symchar.cli", "symch
         (["eval", "--lambda", "6,1", "--mu", "4,3", "--method", "mn"], _TABLE),
         (["chartable", "3"], _TABLE),
         (["vanishing-pairs", "7"], ["symchar.cli", "symchar.partitions", "symchar.vanishing"]),
+        (["vanishing-pairs", "3"], ["symchar.characters", "symchar.cli", "symchar.partitions",
+                                    "symchar.vanishing"]),
         (["structure-constant", "--mu", "3", "--nu", "2,1", "--gamma", "2,1", "--verify"], _ALGEBRA),
         (["structure-constant", "--mu", "3", "--nu", "2,1", "--gamma", "2,1"], _ALGEBRA),
         (
@@ -377,7 +379,7 @@ _ALGEBRA = ["symchar.characters", "symchar.class_algebra", "symchar.cli", "symch
     ],
     ids=[
         "help", "eval-formula", "eval-recursion", "eval-mn", "chartable", "vanishing-pairs",
-        "structure-constant", "structure-constant-no-verify", "verify",
+        "vanishing-pairs-3", "structure-constant", "structure-constant-no-verify", "verify",
     ],
 )
 def test_request_imports_only_its_modules(cache, tmp_path, argv, modules):
@@ -408,6 +410,19 @@ def test_vanishing_pairs_past_three_reads_no_table(cache, tmp_path, capsys, monk
     assert loaded == sorted(["symchar.cli", "symchar.partitions", "symchar.vanishing", *modules])
     assert not hashlib_loaded
     assert not Path(cache).exists()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vanishing_pairs_up_to_three_touches_no_cache(cache, tmp_path, capsys, monkeypatch, n):
+    # the table of S_n, n <= 3, is built in memory, under --cache-dir or the default
+    from symchar import find_covering_pairs
+    from symchar.cli import _pairs_json
+
+    monkeypatch.chdir(tmp_path)
+    for argv in (["--cache-dir", cache], []):
+        assert main([*argv, "vanishing-pairs", str(n), "--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out == _pairs_json(find_covering_pairs(character_table(n)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_table_requests_never_import_json(tmp_path):
@@ -977,27 +992,35 @@ def test_verify_reports_a_wrong_route(cache, capsys, monkeypatch, route, wrong_a
     assert _verify_lines(capsys.readouterr().out) == [f"FAIL {suite} n={n}", f"     {problem}"]
 
 
-def test_a_linear_degree_on_a_nonlinear_row_stops_the_pair_scan(cache, capsys):
-    # a degree above 1 saved as 1, so the file's digest matches, and the two
-    # criteria for a linear row disagree: chi_(4,1) of S_5 for the library
-    # scan, and chi_(2,1) of S_3 for vanishing-pairs, which scans a table only
-    # below n = 4
-    from symchar import find_covering_pairs
+def test_a_linear_degree_on_a_nonlinear_row_stops_the_pair_scan(cache, capsys, monkeypatch):
+    # a degree above 1 set to 1, and the two criteria for a linear row
+    # disagree: chi_(4,1) of S_5, saved so the file's digest matches, for the
+    # library scans, and chi_(2,1) of S_3 for vanishing-pairs, which builds a
+    # table, in memory, only below n = 4
+    import symchar.characters as characters_module
+    from symchar import covers_all_nonlinear, find_covering_pairs
 
-    for n, lam in ((5, (4, 1)), (3, (2, 1))):
+    def damaged(n, lam):
         table = character_table(n)
         values = [list(row) for row in table.values]
         values[table.index(lam)][-1] = 1
-        save_table(table._replace(values=tuple(map(tuple, values))), table_cache_path(cache, n))
-    damaged = load_table(table_cache_path(cache, 5))
+        return table._replace(values=tuple(map(tuple, values)))
+
+    save_table(damaged(5, (4, 1)), table_cache_path(cache, 5))
+    damaged_5 = load_table(table_cache_path(cache, 5))
     with pytest.raises(RuntimeError, match="linear-character criteria disagree"):
-        find_covering_pairs(damaged)
+        find_covering_pairs(damaged_5)
+    with pytest.raises(RuntimeError, match="linear-character criteria disagree"):
+        covers_all_nonlinear((5,), (4, 1), damaged_5)
+    damaged_3 = damaged(3, (2, 1)).values
+    monkeypatch.setattr(characters_module, "_table_values", lambda n: damaged_3)
     assert main(["--cache-dir", cache, "vanishing-pairs", "3"]) == EXIT_VERIFY_FAILED
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
     assert "linear-character criteria disagree" in captured.err
+    assert list(Path(cache).iterdir()) == [table_cache_path(cache, 5)]
 
 
 def test_verify_reports_running_out_of_memory_as_an_error(cache, capsys, monkeypatch):

@@ -247,10 +247,11 @@ def test_covering_pairs_refuses_outside_its_range():
             covering_pairs(n)
 
 
-def test_a_rejected_pair_is_rechecked_by_the_downward_sweep(monkeypatch):
+@pytest.mark.parametrize("n, rejected", [(9, 14), (16, 44), (28, 31)], ids=["9", "16", "28"])
+def test_a_rejected_pair_is_rechecked_by_the_downward_sweep(monkeypatch, n, rejected):
     import symchar.characters as characters_module
 
-    # n = 9 rejects 14 candidate pairs, and each re-check reads both values
+    # each rejected candidate pair is re-checked at one shape, both values read
     calls = []
     right = characters_module._mn
 
@@ -259,11 +260,11 @@ def test_a_rejected_pair_is_rechecked_by_the_downward_sweep(monkeypatch):
         return right(lam, mu)
 
     monkeypatch.setattr(characters_module, "_mn", recorded)
-    assert covering_pairs(9).pairs == (((9,), (8, 1)),)
-    assert len(calls) == 2 * 14
+    assert covering_pairs(n).pairs == (((n,), (n - 1, 1)),)
+    assert len(calls) == 2 * rejected
     monkeypatch.setattr(characters_module, "_mn", lambda lam, mu: 0)
-    with pytest.raises(RuntimeError, match=r"at n=9: the column sweep gives -?\d+, the Murnaghan"):
-        covering_pairs(9)
+    with pytest.raises(RuntimeError, match=rf"at n={n}: the column sweep gives -?\d+, the Murnaghan"):
+        covering_pairs(n)
 
 
 def test_the_linear_values_of_every_swept_column_are_checked(monkeypatch):
