@@ -33,7 +33,6 @@ _EXPORTS = {
         "class_representative",
         "conjugacy_class",
         "deterministic_triples",
-        "merge_lemma_check",
         "structure_constant",
         "structure_constant_bruteforce",
     ),

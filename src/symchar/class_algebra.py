@@ -5,23 +5,27 @@ of mu and nu counts pairs (x, y) in C_mu x C_nu with x*y = g for any fixed
 g in C_gamma.  structure_constant computes it from character data with exact
 integer arithmetic; structure_constant_bruteforce counts directly, by one
 route: it walks the smallest of C_mu, C_nu and C_gamma against the
-class_representative of another class, each class built member by member
-without sweeping S_n, and follows the cycles of one product per member only
-until the first cycle that the wanted cycle type has no room for.  The two
-never share code, so each checks the other.  (The coefficient that a
-covering pair forces is vanishing.predicted_coefficient, beside the pair
-rule it reads.)  Every function here that takes two or three classes reads
-them through partitions.as_classes: a part that is not a positive int, or
-classes that do not all partition one n (the table's n, where a table is
-given), raise ValueError before anything is counted.
+class_representative of another class, each class built without sweeping
+S_n, and follows the cycles of one product per member only until the first
+cycle that the wanted cycle type has no room for.  The two never share
+code, so each checks the other.  (The coefficient that a covering pair
+forces is vanishing.predicted_coefficient, beside the pair rule it reads.)
+Every function here that takes two or three classes reads them through
+partitions.as_classes: a part that is not a positive int, or classes that
+do not all partition one n (the table's n, where a table is given), raise
+ValueError before anything is counted.
 
 A class is enumerated once per process and kept as one bytes object: its
 members one after another, n bytes each, byte k of a member being its image
-of k.  One bytes.translate forms the product of a representative with every
+of k.  It is built a block of members at a time, never a member at a time:
+a block of members that share their cycle through 0 is conjugated as a
+whole, by one bytes.translate for the images and strided slice assignments
+for the points, to give the block with that cycle on other points.
+One bytes.translate forms the product of a representative with every
 member of a class, and each product is walked as a tuple of ints.  An image
 takes one byte, so enumeration stops at 256 points with BruteForceLimitError,
 raised before any member is built.  conjugacy_class decodes the bytes into
-tuples on each call.
+tuples on each call.  Class sizes are computed once per class and process.
 
 Permutations are tuples of images on {0, ..., n-1}; composition is
 (a * b)(t) = a[b[t]].  Cycle types are label-independent, so the 0-based
@@ -30,10 +34,8 @@ convention does not affect any count.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-from collections import Counter
 from functools import lru_cache
 
 from .characters import CharTable
@@ -53,7 +55,6 @@ __all__ = [
     "conjugacy_class",
     "structure_constant",
     "structure_constant_bruteforce",
-    "merge_lemma_check",
     "deterministic_triples",
 ]
 
@@ -90,48 +91,75 @@ def class_representative(gamma: Partition) -> Perm:
     return tuple(images)
 
 
+# class_size(mu) for a canonical mu, once per class: a brute-force count
+# reads up to five sizes and a character sum two
+_class_size = lru_cache(maxsize=None)(class_size)
+
+
 @lru_cache(maxsize=None)
 def _class_members(mu: Partition) -> bytes:
     # The members of C_mu, n bytes each: byte k of a member is its image of
-    # k.  mu is in descending order.  The cycle through the smallest unplaced
-    # point is placed next, written from that point; its other points come
-    # from itertools.permutations.  A permutation fixes each such choice
-    # uniquely, so each member of C_mu is built exactly once.  images is the
-    # identity on every point no cycle is placed on, so once only parts of 1
-    # are left it is a member as it stands.  Callers refuse n > 256 first.
-    images = bytearray(range(sum(mu)))
-    members = bytearray()
+    # k.  Built once per process by _enumerate_class; callers refuse n > 256
+    # first.
+    return _enumerate_class(mu)
 
-    def place(free: tuple[int, ...], parts: tuple[int, ...]) -> None:
-        if not parts or parts[0] == 1:  # only fixed points are left
-            members.extend(images)
-            return
-        first, others = free[0], free[1:]
-        for i, length in enumerate(parts):
-            if i and parts[i - 1] == length:
-                continue  # equal parts give the same cycles
-            rest_parts = parts[:i] + parts[i + 1 :]
-            last = not rest_parts or rest_parts[0] == 1
-            for tail in itertools.permutations(others, length - 1):
-                point = first
-                for nxt in tail:
-                    images[point] = nxt
-                    point = nxt
-                images[point] = first
-                if last:
-                    members.extend(images)
-                else:
-                    placed = set(tail)
-                    place(tuple(t for t in others if t not in placed), rest_parts)
-                for t in tail:
-                    images[t] = t
-        images[first] = first
 
-    place(tuple(images), tuple(mu))
-    # place refers to itself, and that cycle would keep members' buffer, as
-    # large as the class, alive until a full garbage collection
-    del place
-    return bytes(members)
+def _enumerate_class(mu: Partition) -> bytes:
+    # mu is in descending order.  The members come in blocks, one per
+    # distinct part L of mu, largest first: the members whose cycle through
+    # 0 has length L.  Within a block they are ordered by the points of that
+    # cycle as written from 0 (lexicographically), then by the rest of the
+    # member as C_(mu - L) orders it on the remaining points in their order.
+    # That is the order in which the cycle through the smallest unplaced
+    # point, placed one member at a time, would write them.
+    #
+    # A block starts as the members that take the cycle (0 1 ... L-1) and put
+    # a member of C_(mu - L) on L..n-1.  Then the cycle's points are freed
+    # last first: for d = L-1 down to 1, the block becomes its conjugates by
+    # sigma_t for t = d..n-1, one after another, where sigma_t sends d to t,
+    # moves d+1..t down by one and fixes every other point.  sigma_t keeps
+    # every other point in order, so each block stays in order, and each
+    # choice of the cycle's points comes once, so each member of C_mu is
+    # built exactly once.  Conjugating
+    # a whole block is one bytes.translate for its images and a strided
+    # slice assignment per moved point, never a loop over members.  This
+    # recurses through itself, not the cached _class_members, so a class is
+    # only ever cached whole.
+    n = sum(mu)
+    if not mu or mu[0] == 1:
+        return bytes(range(n))  # the identity, alone in its class
+    blocks = []
+    for i, length in enumerate(mu):
+        if i and mu[i - 1] == length:
+            continue  # equal parts give the same cycles
+        rest = _enumerate_class(mu[:i] + mu[i + 1 :])
+        count = len(rest) // (n - length) if n > length else 1
+        block = bytearray(n * count)
+        for k in range(length):
+            block[k::n] = bytes([(k + 1) % length]) * count
+        shifted = rest.translate(bytes(range(length, 256)) + bytes(length))
+        for k in range(length, n):
+            block[k::n] = shifted[k - length :: n - length]
+        block = bytes(block)
+        for d in range(length - 1, 0, -1):
+            block = b"".join([_conjugate_block(block, n, d, t) for t in range(d, n)])
+        blocks.append(block)
+    return b"".join(blocks)
+
+
+def _conjugate_block(block: bytes, n: int, d: int, t: int) -> bytes:
+    # sigma_t * w * sigma_t^-1 for every member w of block, sigma_t as in
+    # _enumerate_class: its images are sigma_t of w's, and its image of
+    # sigma_t(k) is the one that w had at k
+    if t == d:
+        return block  # sigma_t is the identity
+    sigma = bytes(range(d)) + bytes([t]) + bytes(range(d, t)) + bytes(range(t + 1, 256))
+    images = block.translate(sigma)
+    moved = bytearray(images)
+    moved[t::n] = images[d::n]
+    for k in range(d + 1, t + 1):
+        moved[k - 1 :: n] = images[k::n]
+    return bytes(moved)
 
 
 def conjugacy_class(mu: Partition, *, limit: int = BRUTE_FORCE_DEFAULT_LIMIT) -> tuple[Perm, ...]:
@@ -170,7 +198,7 @@ def structure_constant(mu: Partition, nu: Partition, gamma: Partition, table: Ch
                 f"degree {row[-1]} does not divide {n}!; character table is internally inconsistent"
             )
         total += row[i_mu] * row[i_nu] * row[i_g] * cofactor
-    scaled = class_size(mu) * class_size(nu) * total
+    scaled = _class_size(mu) * _class_size(nu) * total
     coeff, rem = divmod(scaled, group_order * group_order)
     if rem or coeff < 0:
         raise RuntimeError(
@@ -206,13 +234,13 @@ def structure_constant_bruteforce(
     BruteForceLimitError.check(n, limit)
     if not n:
         return 1  # S_0: the empty permutation alone, its own class and product
-    if class_size(nu) < class_size(mu):
+    if _class_size(nu) < _class_size(mu):
         mu, nu = nu, mu
-    walked, fixed = (gamma, mu) if class_size(gamma) < class_size(mu) else (mu, gamma)
+    walked, fixed = (gamma, mu) if _class_size(gamma) < _class_size(mu) else (mu, gamma)
     members = _class_members(walked)
     hits = _count_products(members, class_representative(fixed), nu)
     size = len(members) // n
-    count, rem = divmod(class_size(mu) * hits, size)
+    count, rem = divmod(_class_size(mu) * hits, size)
     if rem:
         raise RuntimeError(
             f"|C_mu| * {hits} is not a multiple of the {size} members of C_{walked} "
@@ -282,17 +310,3 @@ def deterministic_triples(n: int) -> tuple[tuple[Partition, Partition, Partition
         (rng.choice(classes), rng.choice(classes), rng.choice(classes)) for _ in range(100)
     )
 
-
-def merge_lemma_check(mu: Partition, nu: Partition) -> bool:
-    """True when nu arises from mu by replacing two parts with their sum.
-
-    That is: some parts a, b of mu merge into a part a+b of nu while the
-    remaining parts agree as multisets.  This is the combinatorial relation
-    forced between two classes whose product hits the transposition class.
-    mu and nu must partition one n (see partitions.as_classes).  As the
-    sizes agree, it holds when mu has two parts that nu lacks and nu
-    one part that mu lacks, counted with multiplicity.
-    """
-    mu, nu = as_classes(mu, nu)
-    lost, gained = Counter(mu) - Counter(nu), Counter(nu) - Counter(mu)
-    return lost.total() == 2 and gained.total() == 1

@@ -77,6 +77,49 @@ def rep_of_type(mu: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(images)
 
 
+def class_members_by_cycles(mu: tuple[int, ...]) -> bytes:
+    """The members of C_mu, n bytes each (byte k is the image of k), placed cycle by cycle.
+
+    mu is in descending order.  The cycle through the smallest unplaced
+    point is placed next, written from that point; its other points come
+    from itertools.permutations.  A permutation fixes each such choice
+    uniquely, so each member is built exactly once.  images is the identity
+    on every point no cycle is placed on, so once only parts of 1 are left
+    it is a member as it stands.  This is the package's enumerator before it
+    conjugated whole blocks of members, kept verbatim.
+    """
+    images = bytearray(range(sum(mu)))
+    members = bytearray()
+
+    def place(free: tuple[int, ...], parts: tuple[int, ...]) -> None:
+        if not parts or parts[0] == 1:  # only fixed points are left
+            members.extend(images)
+            return
+        first, others = free[0], free[1:]
+        for i, length in enumerate(parts):
+            if i and parts[i - 1] == length:
+                continue  # equal parts give the same cycles
+            rest_parts = parts[:i] + parts[i + 1 :]
+            last = not rest_parts or rest_parts[0] == 1
+            for tail in itertools.permutations(others, length - 1):
+                point = first
+                for nxt in tail:
+                    images[point] = nxt
+                    point = nxt
+                images[point] = first
+                if last:
+                    members.extend(images)
+                else:
+                    placed = set(tail)
+                    place(tuple(t for t in others if t not in placed), rest_parts)
+                for t in tail:
+                    images[t] = t
+        images[first] = first
+
+    place(tuple(images), tuple(mu))
+    return bytes(members)
+
+
 # --- degrees by hook products -------------------------------------------------
 
 
@@ -251,6 +294,27 @@ def merged_by_position(mu: tuple[int, ...], nu: tuple[int, ...]) -> bool:
         if tuple(sorted([*rest, mu[i] + mu[j]], reverse=True)) == nu:
             return True
     return False
+
+
+def merge_lemma_check(mu: tuple[int, ...], nu: tuple[int, ...]) -> bool:
+    """True when nu arises from mu by replacing two parts with their sum.
+
+    That is: some parts a, b of mu merge into a part a+b of nu while the
+    remaining parts agree as multisets.  This is the combinatorial relation
+    forced between two classes whose product hits the transposition class.
+    Parts may come in any order; a part that is not a positive int, or mu
+    and nu of different sizes, raise ValueError.  As the sizes agree, it
+    holds when mu has two parts that nu lacks and nu one part that mu lacks,
+    counted with multiplicity.
+    """
+    for part in (*mu, *nu):
+        if type(part) is not int or part < 1:
+            raise ValueError(f"partition parts must be positive integers, got {part!r}")
+    if sum(mu) != sum(nu):
+        raise ValueError(f"{mu} and {nu} do not partition one n")
+    parts_of_mu, parts_of_nu = collections.Counter(mu), collections.Counter(nu)
+    lost, gained = parts_of_mu - parts_of_nu, parts_of_nu - parts_of_mu
+    return lost.total() == 2 and gained.total() == 1
 
 
 # --- covering pairs by a direct per-row scan ----------------------------------

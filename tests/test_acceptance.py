@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 from math import comb
 
+from oracles import merge_lemma_check
 from symchar import (
     centralizer_order,
     character_table,
@@ -19,7 +20,6 @@ from symchar import (
     find_covering_pairs,
     hook_char_recursive,
     is_hook,
-    merge_lemma_check,
     mn_char,
     near_hook_value,
     partitions_of,

@@ -5,7 +5,13 @@ import math
 
 import pytest
 
-from oracles import merged_by_position, perm_cycle_type, structure_constant_oracle
+from oracles import (
+    class_members_by_cycles,
+    merge_lemma_check,
+    merged_by_position,
+    perm_cycle_type,
+    structure_constant_oracle,
+)
 from symchar import (
     BruteForceLimitError,
     class_representative,
@@ -14,7 +20,6 @@ from symchar import (
     covers_all_nonlinear,
     deterministic_triples,
     find_covering_pairs,
-    merge_lemma_check,
     partitions_of,
     predicted_coefficient,
     sign_value,
@@ -90,6 +95,17 @@ def test_conjugacy_class_member_order():
     )
 
 
+def test_class_members_match_the_cycle_by_cycle_oracle():
+    # the same bytes in the same member order as placing one cycle at a
+    # time, for every class of S_n, n <= 9, and for classes past the default
+    # limit with fixed points and repeated parts (built past the cache)
+    for n in range(10):
+        for mu in partitions_of(n):
+            assert _class_members(mu) == class_members_by_cycles(mu), mu
+    for mu in ((3, 3, 1, 1, 1, 1), (2, 2, 2, 1, 1, 1, 1, 1, 1), (4, 2, 2, 1, 1), (3, 3, 2, 2)):
+        assert _class_members.__wrapped__(mu) == class_members_by_cycles(mu), mu
+
+
 def test_conjugacy_class_limit():
     with pytest.raises(BruteForceLimitError):
         conjugacy_class((9,), limit=8)
@@ -103,7 +119,10 @@ def test_class_enumeration_stops_at_256_points(monkeypatch):
     import symchar.class_algebra as class_algebra
 
     # an enumeration that started would fail at once instead of running on
-    monkeypatch.setattr(class_algebra, "itertools", None)
+    def enumerate_class(mu):
+        raise AssertionError(f"C_{mu} was enumerated")
+
+    monkeypatch.setattr(class_algebra, "_enumerate_class", enumerate_class)
     for call in (
         lambda: conjugacy_class((257,), limit=300),
         lambda: structure_constant_bruteforce((257,), (257,), (257,), limit=300),  # over C_mu
@@ -299,6 +318,30 @@ def test_bruteforce_over_gamma_checks_the_division(monkeypatch):
     # over C_mu: 10 * 3 hits over 9 members of C_(2,1,1,1)
     with pytest.raises(RuntimeError, match="not a multiple"):
         structure_constant_bruteforce((2, 1, 1, 1), (2, 1, 1, 1), (3, 1, 1))
+
+
+def test_truncated_classes_do_not_stay_cached(monkeypatch):
+    # the sabotage above replaces the cached enumeration; once it is undone,
+    # every class it handed out is whole again, as the cache never held a
+    # truncated one
+    import symchar.class_algebra as class_algebra
+
+    full = class_algebra._class_members
+    touched = []
+
+    def truncated(mu):
+        touched.append(mu)
+        return full(mu)[: -sum(mu)]
+
+    monkeypatch.setattr(class_algebra, "_class_members", truncated)
+    with pytest.raises(RuntimeError, match="not a multiple"):
+        structure_constant_bruteforce((5,), (5,), (3, 1, 1))
+    with pytest.raises(RuntimeError, match="not a multiple"):
+        structure_constant_bruteforce((2, 1, 1, 1), (2, 1, 1, 1), (3, 1, 1))
+    monkeypatch.undo()
+    assert touched == [(3, 1, 1), (2, 1, 1, 1)]
+    for mu in touched:
+        assert len(class_algebra._class_members(mu)) == sum(mu) * class_size(mu), mu
 
 
 def test_bruteforce_rejects_bad_inputs():

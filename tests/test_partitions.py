@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import merged_by_position, partition_count, perm_sign_by_inversions, rep_of_type
+from oracles import (
+    merge_lemma_check,
+    merged_by_position,
+    partition_count,
+    perm_sign_by_inversions,
+    rep_of_type,
+)
 from symchar import (
     centralizer_order,
-    merge_lemma_check,
     class_size,
     conjugate,
     format_partition,
