@@ -158,7 +158,7 @@ def mn_char(lam: Partition, mu: Partition) -> int:
     or labels of two sizes.  ValueError also refuses a sweep with a step of
     more than MAX_MN_SHAPES shapes.  Murnaghan-Nakayama rule:
     peel a border strip of each part of mu in turn, largest first, summing
-    sign * count over all removals (see _mn).  Each value is memoized once
+    sign * count over all removals (see _mn_beads).  Each value is memoized once
     per distinct (lam, mu) call; the memo persists across calls (grow-only).
     """
     key = as_classes(lam, mu)
@@ -168,14 +168,18 @@ def mn_char(lam: Partition, mu: Partition) -> int:
 
 
 def _mn(lam: Partition, mu: Partition) -> int:
-    # One forward sweep over bead masks: counts holds each shape reached so
-    # far, as its len(lam)-bead mask (bead i of lam at lam[i] + len(lam) - 1
-    # - i), with the signed number of ways to reach it.  A k-strip removal
-    # moves a bead b to the free position b - k, and its sign is the parity
-    # of the beads strictly between them.  The empty shape is the lowest
-    # len(lam) beads.
     r = len(lam)
-    counts = {sum(1 << (part + r - 1 - i) for i, part in enumerate(lam)): 1}
+    return _mn_beads(sum(1 << (part + r - 1 - i) for i, part in enumerate(lam)), r, mu)
+
+
+def _mn_beads(mask: int, r: int, mu: Partition) -> int:
+    # One forward sweep over bead masks: counts holds each shape reached so
+    # far, as its r-bead mask (bead i of lam at lam[i] + r - 1 - i, lam
+    # padded with zeros to r parts), with the signed number of ways to reach
+    # it.  A k-strip removal moves a bead b to the free position b - k, and
+    # its sign is the parity of the beads strictly between them.  The empty
+    # shape is the lowest r beads.
+    counts = {mask: 1}
     for k in mu:
         between = (1 << (k - 1)) - 1
         reached: dict[int, int] = {}
@@ -190,7 +194,7 @@ def _mn(lam: Partition, mu: Partition) -> int:
         counts = reached
         if len(counts) > MAX_MN_SHAPES:
             raise ValueError(
-                f"mn_char at n={sum(lam)}: a step of the sweep holds {len(counts)} shapes, "
+                f"mn_char at n={sum(mu)}: a step of the sweep holds {len(counts)} shapes, "
                 f"past the bound MAX_MN_SHAPES = {MAX_MN_SHAPES}"
             )
     return counts.get((1 << r) - 1, 0)

@@ -13,6 +13,8 @@ only (partitions.parse_positive_int).
 vanishing-pairs reads and writes no cache file: it answers n <= 3 from a
 table built in memory, and every larger n from vanishing.covering_pairs,
 with no table, past the table limit too, up to partitions.MAX_PARTITION_SIZE.
+Every n <= 512 is answered; 24 values in 513..2000 hold a column past
+partitions.MAX_MN_SHAPES and exit 2.
 
 Any other Exception a command raises (a KeyError, an ArithmeticError, a
 MemoryError, ...) is a fault in symchar: exit 1 with one error line.
@@ -29,7 +31,7 @@ Each process is one request, and every module it imports is compiled anew
 when no bytecode cache is written, so library names are imported inside the
 command or check that uses them: `--help` loads only partitions (for the
 brute-force default), `eval --method formula` only partitions and formulas,
-`vanishing-pairs 4` or more only partitions and vanishing.
+`vanishing-pairs` only partitions, characters and vanishing.
 """
 
 from __future__ import annotations

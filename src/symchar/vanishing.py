@@ -11,11 +11,10 @@ find_covering_pairs(table) scans every pair of columns of a character table
 once.  covering_pairs(n), for n >= 4, reads no table.  A covering pair then
 has opposite signs, and both centralizer orders divide n(n - 1) (see
 covering_pairs for the proof), so only the few classes with z | n(n - 1)
-are candidates: their columns are swept upward by the Murnaghan-Nakayama
-rule, and an opposite-sign pair covers exactly when the supports of its two
-columns share no non-linear shape.  Each pair it rejects is re-checked at
-the first shape both columns hold by characters' independent downward
-sweep, which this module imports only then.
+are candidates.  Each opposite-sign pair of them is decided from one column,
+the earlier class's, swept upward by the Murnaghan-Nakayama rule, with the
+later class evaluated at its shapes by characters' independent downward
+sweep.
 
 covers_all_nonlinear applies the scan's rule to one pair alone, and
 predicted_coefficient gives the structure constant that the rule forces on
@@ -240,33 +239,6 @@ def _column(mu: Partition, n: int) -> dict[int, int]:
     return counts
 
 
-def _shape(mask: int, n: int) -> Partition:
-    """The partition whose n-bead mask is mask: bead i at lam[i] + n - 1 - i."""
-    beads = [b for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1]
-    return tuple(b - (n - 1 - i) for i, b in enumerate(beads) if b > n - 1 - i)
-
-
-def _recheck(
-    n: int, mu: Partition, nu: Partition, mask: int, columns: dict[Partition, dict[int, int]]
-) -> None:
-    """Confirm by characters._mn that a rejected pair's columns share a non-linear shape.
-
-    mask is the first shape of mu's column that nu's column also holds; both
-    of its values must equal the upward sweep's, which are non-zero.
-    RuntimeError names the shape when they differ.
-    """
-    from .characters import _mn  # here: a pair that covers never needs it
-
-    lam = _shape(mask, n)
-    for cls in (mu, nu):
-        swept, downward = columns[cls][mask], _mn(lam, cls)
-        if swept != downward:
-            raise RuntimeError(
-                f"chi_{lam}({cls}) at n={n}: the column sweep gives {swept}, "
-                f"the Murnaghan-Nakayama sweep {downward}"
-            )
-
-
 def covering_pairs(n: int) -> CoveringPairReport:
     """The covering pairs of S_n for 4 <= n <= MAX_PARTITION_SIZE, with no character table.
 
@@ -283,18 +255,35 @@ def covering_pairs(n: int) -> CoveringPairReport:
     n(n - 1) / z_nu must be an integer.
 
     So the candidates are the classes with z | n(n - 1) (_candidates), and
-    an opposite-sign pair of them covers exactly when the supports of their
-    columns (_column) share no non-linear shape.  Each column's values at (n)
-    and (1^n), 1 and the class's sign, are checked as they are set aside, and
-    each rejected pair is re-checked by _recheck.  Pairs come in the order of
-    find_covering_pairs.  An n outside 4..MAX_PARTITION_SIZE raises ValueError
-    before any work, as does a sweep step past MAX_MN_SHAPES.
+    an opposite-sign pair (mu, nu) of them, mu first, covers exactly when
+    chi_lam(nu) = 0 at every non-linear shape lam of mu's column (_column).
+    nu, with the smaller first part and usually the wider column, is never
+    swept: characters._mn_beads evaluates it at mu's shapes, and the first
+    non-zero value rejects the pair once _mn_beads confirms mu's swept value
+    there.  Each candidate's values at (n) and (1^n), 1 and its sign, are
+    checked by the downward sweep, and each swept column's by the upward one,
+    so a sweep that gives 0 everywhere raises.  Pairs come in the order of
+    find_covering_pairs.  An n outside 4..MAX_PARTITION_SIZE raises
+    ValueError before any work, as does a sweep step past MAX_MN_SHAPES.
     """
     as_int(n, "the n of a column sweep", low=4, high=MAX_PARTITION_SIZE)
+    from .characters import _beta_to_partition, _mn_beads  # the downward sweep
+
     trivial = ((1 << (n - 1)) - 1) | (1 << (2 * n - 1))  # (n): one bead at 2n - 1
     sign = ((1 << n) - 1) << 1  # (1^n): every bead one above the empty shape
-    columns: dict[Partition, dict[int, int]] = {}
-    for mu in _candidates(n):
+    classes = list(_candidates(n))
+    for nu in classes:
+        linear = _mn_beads(trivial, n, nu), _mn_beads(sign, n, nu)
+        if linear != (1, sign_value(nu)):
+            raise RuntimeError(
+                f"the Murnaghan-Nakayama sweep of {nu} at n={n} gives {linear} at (n) and "
+                f"(1^n), not (1, {sign_value(nu)})"
+            )
+    pairs: list[Pair] = []
+    for a, mu in enumerate(classes):
+        partners = [nu for nu in classes[a + 1 :] if sign_value(nu) != sign_value(mu)]
+        if not partners:
+            continue
         column = _column(mu, n)
         linear = column.pop(trivial, None), column.pop(sign, None)
         if linear != (1, sign_value(mu)):
@@ -302,16 +291,16 @@ def covering_pairs(n: int) -> CoveringPairReport:
                 f"the column sweep of {mu} at n={n} gives {linear} at (n) and (1^n), "
                 f"not (1, {sign_value(mu)})"
             )
-        columns[mu] = column
-    classes = list(columns)
-    pairs: list[Pair] = []
-    for a, mu in enumerate(classes):
-        for nu in classes[a + 1 :]:
-            if sign_value(mu) == sign_value(nu):
-                continue
-            mask = next(filter(columns[nu].__contains__, columns[mu]), None)
-            if mask is None:
+        for nu in partners:
+            witness = next((mask for mask in column if _mn_beads(mask, n, nu)), None)
+            if witness is None:
                 pairs.append((mu, nu))
-            else:
-                _recheck(n, mu, nu, mask, columns)
+                continue
+            downward = _mn_beads(witness, n, mu)
+            if downward != column[witness]:
+                lam = _beta_to_partition([b for b in range(2 * n - 1, -1, -1) if witness >> b & 1])
+                raise RuntimeError(
+                    f"chi_{lam}({mu}) at n={n}: the column sweep gives {column[witness]}, "
+                    f"the Murnaghan-Nakayama sweep {downward}"
+                )
     return CoveringPairReport(n=n, pairs=tuple(pairs))

@@ -366,7 +366,8 @@ _ALGEBRA = ["symchar.characters", "symchar.class_algebra", "symchar.cli", "symch
         (["eval", "--lambda", "6,1", "--mu", "4,3", "--method", "recursion"], _FORMULAS),
         (["eval", "--lambda", "6,1", "--mu", "4,3", "--method", "mn"], _TABLE),
         (["chartable", "3"], _TABLE),
-        (["vanishing-pairs", "7"], ["symchar.cli", "symchar.partitions", "symchar.vanishing"]),
+        (["vanishing-pairs", "7"], ["symchar.characters", "symchar.cli", "symchar.partitions",
+                                    "symchar.vanishing"]),
         (["vanishing-pairs", "3"], ["symchar.characters", "symchar.cli", "symchar.partitions",
                                     "symchar.vanishing"]),
         (["structure-constant", "--mu", "3", "--nu", "2,1", "--gamma", "2,1", "--verify"], _ALGEBRA),
@@ -392,9 +393,9 @@ def test_request_imports_only_its_modules(cache, tmp_path, argv, modules):
         assert not hashlib_loaded
 
 
-@pytest.mark.parametrize("n, modules", [(7, []), (40, ["symchar.characters"])], ids=["7", "40"])
-def test_vanishing_pairs_past_three_reads_no_table(cache, tmp_path, capsys, monkeypatch, n, modules):
-    # n = 40 has rejected candidate pairs, whose re-check loads characters
+@pytest.mark.parametrize("n", [7, 40])
+def test_vanishing_pairs_past_three_reads_no_table(cache, tmp_path, capsys, monkeypatch, n):
+    # characters is loaded for its downward sweep, never for a table
     import symchar.characters as characters_module
 
     def no_table(*args, **kwargs):
@@ -407,7 +408,7 @@ def test_vanishing_pairs_past_three_reads_no_table(cache, tmp_path, capsys, monk
     done = _run_python(["-c", _FOOTPRINT, "--cache-dir", cache, "vanishing-pairs", str(n)], tmp_path)
     code, loaded, hashlib_loaded, _ = json.loads(done.stdout.splitlines()[-1])
     assert code == EXIT_OK, done.stderr
-    assert loaded == sorted(["symchar.cli", "symchar.partitions", "symchar.vanishing", *modules])
+    assert loaded == ["symchar.characters", "symchar.cli", "symchar.partitions", "symchar.vanishing"]
     assert not hashlib_loaded
     assert not Path(cache).exists()
 

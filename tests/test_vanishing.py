@@ -251,20 +251,44 @@ def test_covering_pairs_refuses_outside_its_range():
 def test_a_rejected_pair_is_rechecked_by_the_downward_sweep(monkeypatch, n, rejected):
     import symchar.characters as characters_module
 
-    # each rejected candidate pair is re-checked at one shape, both values read
+    # each rejected candidate pair reads two non-zero values at its witness
+    # shape: the later class's, which rejects it, and the earlier class's,
+    # which confirms the column sweep; a pair that covers reads only zeros
+    linear = {((1 << (n - 1)) - 1) | (1 << (2 * n - 1)), ((1 << n) - 1) << 1}
     calls = []
-    right = characters_module._mn
+    right = characters_module._mn_beads
 
-    def recorded(lam, mu):
-        calls.append((lam, mu))
-        return right(lam, mu)
+    def recorded(mask, r, mu):
+        value = right(mask, r, mu)
+        calls.append((mask, value))
+        return value
 
-    monkeypatch.setattr(characters_module, "_mn", recorded)
+    monkeypatch.setattr(characters_module, "_mn_beads", recorded)
     assert covering_pairs(n).pairs == (((n,), (n - 1, 1)),)
-    assert len(calls) == 2 * rejected
-    monkeypatch.setattr(characters_module, "_mn", lambda lam, mu: 0)
-    with pytest.raises(RuntimeError, match=rf"at n={n}: the column sweep gives -?\d+, the Murnaghan"):
+    witnesses = [mask for mask, value in calls if value and mask not in linear]
+    assert len(witnesses) == 2 * rejected
+    assert witnesses[::2] == witnesses[1::2]
+    monkeypatch.setattr(characters_module, "_mn_beads", lambda mask, r, mu: 0)
+    with pytest.raises(RuntimeError, match=rf"sweep of \({n},\) at n={n} gives \(0, 0\) at \(n\)"):
         covering_pairs(n)
+    # one off at every non-linear shape: the first shape of (n)'s column is
+    # then a witness whose two values disagree
+    monkeypatch.setattr(
+        characters_module, "_mn_beads", lambda mask, r, mu: right(mask, r, mu) + (mask not in linear)
+    )
+    lam, value = (2,) + (1,) * (n - 2), (-1) ** n  # a hook of leg n - 2 at the n-cycle
+    with pytest.raises(RuntimeError) as refused:
+        covering_pairs(n)
+    assert str(refused.value) == (
+        f"chi_{lam}(({n},)) at n={n}: the column sweep gives {value}, "
+        f"the Murnaghan-Nakayama sweep {value + 1}"
+    )
+
+
+def test_a_wide_later_class_is_never_swept():
+    # at n = 1404 the candidate (1098, 299, 6, 1) is the later class of each
+    # of its pairs, and its column is past MAX_MN_SHAPES
+    assert covering_pairs(1404).pairs == (((1404,), (1403, 1)),)
 
 
 def test_the_linear_values_of_every_swept_column_are_checked(monkeypatch):
