@@ -188,7 +188,7 @@ def structure_constant(mu: Partition, nu: Partition, gamma: Partition, table: Ch
     """
     n = table.n
     mu, nu, gamma = as_classes(mu, nu, gamma, n=n)
-    i_mu, i_nu, i_g = table.index(mu), table.index(nu), table.index(gamma)
+    i_mu, i_nu, i_g = map(table.order.index, (mu, nu, gamma))  # as_classes checked each
     group_order = math.factorial(n)
     total = 0
     for row in table.values:

@@ -10,9 +10,8 @@ partitions.MAX_MN_SHAPES), 3 I/O failure, 4 brute-force verification
 requested beyond the configured limit.  A size or a part is ASCII digits
 only (partitions.parse_positive_int).
 
-vanishing-pairs reads and writes no cache file: it answers n <= 3 from a
-table built in memory, and every larger n from vanishing.covering_pairs,
-with no table, past the table limit too, up to partitions.MAX_PARTITION_SIZE.
+vanishing-pairs builds, reads and writes no table: vanishing.covering_pairs
+answers every n up to partitions.MAX_PARTITION_SIZE, past the table limit too.
 Every n <= 512 is answered; 24 values in 513..2000 hold a column past
 partitions.MAX_MN_SHAPES and exit 2.
 
@@ -262,17 +261,9 @@ _PAIRS_RENDERERS = {"json": _pairs_json, "csv": _pairs_csv, "pretty": _pairs_pre
 
 
 def _cmd_vanishing_pairs(args: argparse.Namespace) -> int:
-    if args.n <= 3:  # below the lemma that lets covering_pairs skip the table
-        from .characters import character_table
-        from .vanishing import find_covering_pairs
+    from .vanishing import covering_pairs
 
-        # at most 3 x 3: building it costs less than reading a cache file
-        report = find_covering_pairs(character_table(args.n))
-    else:
-        from .vanishing import covering_pairs
-
-        report = covering_pairs(args.n)
-    sys.stdout.write(_PAIRS_RENDERERS[args.format](report))
+    sys.stdout.write(_PAIRS_RENDERERS[args.format](covering_pairs(args.n)))
     return EXIT_OK
 
 
@@ -498,9 +489,9 @@ def _exit_code(error: Exception) -> int:
         return EXIT_IO_FAILURE
     if isinstance(error, ValueError):
         return EXIT_INVALID_INPUT
-    # any other RuntimeError: a table that loaded but fails a consistency
-    # check (structure_constant, or the two linear-row criteria of
-    # vanishing._nonlinear_rows)
+    # any other RuntimeError: a failed consistency check on a loaded table
+    # (structure_constant, or the two linear-row criteria of
+    # vanishing._nonlinear_rows) or between covering_pairs' two sweeps
     return EXIT_VERIFY_FAILED
 
 

@@ -8,13 +8,12 @@ covering set, the match against the theorem's {(n), (n-1,1)} for n > 6, and
 the diagnostics naming the pairs that break it) is read off those pairs.
 
 find_covering_pairs(table) scans every pair of columns of a character table
-once.  covering_pairs(n), for n >= 4, reads no table.  A covering pair then
-has opposite signs, and both centralizer orders divide n(n - 1) (see
-covering_pairs for the proof), so only the few classes with z | n(n - 1)
-are candidates.  Each opposite-sign pair of them is decided from one column,
-the earlier class's, swept upward by the Murnaghan-Nakayama rule, with the
-later class evaluated at its shapes by characters' independent downward
-sweep.
+once.  covering_pairs(n) reads no table, at any n up to the size budget: a
+pair (mu, nu), mu first, covers exactly when nu's value is 0 at every
+non-linear shape of mu's column, swept upward by the Murnaghan-Nakayama
+rule, with nu evaluated at those shapes by characters' independent downward
+sweep.  From n = 4 up, a lemma (see covering_pairs) prunes the pairs to the
+opposite-sign pairs of the few classes with z | n(n - 1).
 
 covers_all_nonlinear applies the scan's rule to one pair alone, and
 predicted_coefficient gives the structure constant that the rule forces on
@@ -240,7 +239,16 @@ def _column(mu: Partition, n: int) -> dict[int, int]:
 
 
 def covering_pairs(n: int) -> CoveringPairReport:
-    """The covering pairs of S_n for 4 <= n <= MAX_PARTITION_SIZE, with no character table.
+    """The covering pairs of S_n for 1 <= n <= MAX_PARTITION_SIZE, with no character table.
+
+    A pair (mu, nu), mu at or before nu in the canonical order, covers
+    exactly when chi_lam(nu) = 0 at every non-linear shape lam of mu's column
+    (_column).  nu, with the smaller first part and usually the wider column,
+    is never swept: characters._mn_beads evaluates it at mu's shapes, and the
+    first non-zero value rejects the pair once _mn_beads confirms mu's swept
+    value there.  mu runs over the classes with z | n(n - 1) (_candidates),
+    every class below n = 4, and nu over mu and the later candidates; from
+    n = 4 up, over the later ones of the opposite sign only, by this lemma.
 
     Lemma: for n >= 4, if {mu, nu} covers, then sign(mu) != sign(nu), and both
     z_mu and z_nu (centralizer_order) divide n(n - 1).  Proof: when only the
@@ -254,19 +262,13 @@ def covering_pairs(n: int) -> CoveringPairReport:
     least 3.  gamma = (2, 1^(n-2)) is odd, so the factor is 2 and
     n(n - 1) / z_nu must be an integer.
 
-    So the candidates are the classes with z | n(n - 1) (_candidates), and
-    an opposite-sign pair (mu, nu) of them, mu first, covers exactly when
-    chi_lam(nu) = 0 at every non-linear shape lam of mu's column (_column).
-    nu, with the smaller first part and usually the wider column, is never
-    swept: characters._mn_beads evaluates it at mu's shapes, and the first
-    non-zero value rejects the pair once _mn_beads confirms mu's swept value
-    there.  Each candidate's values at (n) and (1^n), 1 and its sign, are
-    checked by the downward sweep, and each swept column's by the upward one,
-    so a sweep that gives 0 everywhere raises.  Pairs come in the order of
-    find_covering_pairs.  An n outside 4..MAX_PARTITION_SIZE raises
+    Each candidate's values at (n) and (1^n), 1 and its sign, are checked by
+    the downward sweep, and each swept column's by the upward one, so a
+    sweep that gives 0 everywhere raises.  Pairs come in the order of
+    find_covering_pairs.  An n outside 1..MAX_PARTITION_SIZE raises
     ValueError before any work, as does a sweep step past MAX_MN_SHAPES.
     """
-    as_int(n, "the n of a column sweep", low=4, high=MAX_PARTITION_SIZE)
+    as_int(n, "the n of a column sweep", low=1, high=MAX_PARTITION_SIZE)
     from .characters import _beta_to_partition, _mn_beads  # the downward sweep
 
     trivial = ((1 << (n - 1)) - 1) | (1 << (2 * n - 1))  # (n): one bead at 2n - 1
@@ -281,16 +283,19 @@ def covering_pairs(n: int) -> CoveringPairReport:
             )
     pairs: list[Pair] = []
     for a, mu in enumerate(classes):
-        partners = [nu for nu in classes[a + 1 :] if sign_value(nu) != sign_value(mu)]
+        # the lemma's sign rule, from n = 4 up, also leaves mu itself out
+        partners = [nu for nu in classes[a:] if n < 4 or sign_value(nu) != sign_value(mu)]
         if not partners:
             continue
         column = _column(mu, n)
-        linear = column.pop(trivial, None), column.pop(sign, None)
+        linear = column.get(trivial), column.get(sign)
         if linear != (1, sign_value(mu)):
             raise RuntimeError(
                 f"the column sweep of {mu} at n={n} gives {linear} at (n) and (1^n), "
                 f"not (1, {sign_value(mu)})"
             )
+        del column[trivial]
+        column.pop(sign, None)  # the same shape as (n) at n = 1
         for nu in partners:
             witness = next((mask for mask in column if _mn_beads(mask, n, nu)), None)
             if witness is None:

@@ -29,9 +29,9 @@ def table_for():
 
 
 # Longest one test may run before the whole run stops with a traceback and
-# exit code 1: about 50 times the slowest test (1.1 s), so a test that hangs,
-# such as a cycle walk through a broken class member, fails the run instead
-# of holding it.
+# exit code 1: 35 to 40 times the slowest test (1.4-1.8 s on a 2-vCPU Xeon,
+# CPython 3.11), so a test that hangs, such as a cycle walk through a broken
+# class member, fails the run instead of holding it.
 TEST_TIME_LIMIT_S = 60
 _STDERR_FD = pytest.StashKey[int]()
 

@@ -413,9 +413,26 @@ def test_vanishing_pairs_past_three_reads_no_table(cache, tmp_path, capsys, monk
     assert not Path(cache).exists()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_vanishing_pairs_builds_no_table_at_small_n(cache, table_for, capsys, monkeypatch, n):
+    # every n goes through the column sweep, below the sign lemma's n = 4 too
+    import symchar.characters as characters_module
+    from symchar import find_covering_pairs
+    from symchar.cli import _pairs_json
+
+    expected = _pairs_json(find_covering_pairs(table_for(n)))
+
+    def no_build(n):
+        raise AssertionError(f"the table of S_{n} was built")
+
+    monkeypatch.setattr(characters_module, "_table_values", no_build)
+    assert main(["--cache-dir", cache, "vanishing-pairs", str(n), "--format", "json"]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_vanishing_pairs_up_to_three_touches_no_cache(cache, tmp_path, capsys, monkeypatch, n):
-    # the table of S_n, n <= 3, is built in memory, under --cache-dir or the default
+    # no cache file or directory, under --cache-dir or the default
     from symchar import find_covering_pairs
     from symchar.cli import _pairs_json
 
@@ -996,9 +1013,9 @@ def test_verify_reports_a_wrong_route(cache, capsys, monkeypatch, route, wrong_a
 def test_a_linear_degree_on_a_nonlinear_row_stops_the_pair_scan(cache, capsys, monkeypatch):
     # a degree above 1 set to 1, and the two criteria for a linear row
     # disagree: chi_(4,1) of S_5, saved so the file's digest matches, for the
-    # library scans, and chi_(2,1) of S_3 for vanishing-pairs, which builds a
-    # table, in memory, only below n = 4
-    import symchar.characters as characters_module
+    # library scans; vanishing-pairs reads no table, and its sweep checks the
+    # linear values of each column it sweeps, here (3)'s with the sign flipped
+    import symchar.vanishing as vanishing_module
     from symchar import covers_all_nonlinear, find_covering_pairs
 
     def damaged(n, lam):
@@ -1013,14 +1030,20 @@ def test_a_linear_degree_on_a_nonlinear_row_stops_the_pair_scan(cache, capsys, m
         find_covering_pairs(damaged_5)
     with pytest.raises(RuntimeError, match="linear-character criteria disagree"):
         covers_all_nonlinear((5,), (4, 1), damaged_5)
-    damaged_3 = damaged(3, (2, 1)).values
-    monkeypatch.setattr(characters_module, "_table_values", lambda n: damaged_3)
+    swept = vanishing_module._column
+
+    def sign_flipped(mu, n):
+        column = swept(mu, n)
+        column[((1 << n) - 1) << 1] *= -1  # chi_(1^n)(mu), the sign of mu
+        return column
+
+    monkeypatch.setattr(vanishing_module, "_column", sign_flipped)
     assert main(["--cache-dir", cache, "vanishing-pairs", "3"]) == EXIT_VERIFY_FAILED
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
-    assert "linear-character criteria disagree" in captured.err
+    assert "the column sweep of (3,) at n=3 gives (1, -1) at (n) and (1^n)" in captured.err
     assert list(Path(cache).iterdir()) == [table_cache_path(cache, 5)]
 
 

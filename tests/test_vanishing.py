@@ -216,7 +216,7 @@ def test_one_cover_rule(table_for):
 
 def test_covering_pairs_equal_the_table_scan(table_for):
     # table_for keeps what it builds for the session: 23 and 24 are dropped
-    for n in range(4, 25):
+    for n in range(1, 25):
         table = table_for(n) if n <= 22 else character_table(n)
         assert covering_pairs(n) == find_covering_pairs(table), n
 
@@ -241,9 +241,9 @@ def test_swept_columns_equal_the_table_columns(table_for):
 
 
 def test_covering_pairs_refuses_outside_its_range():
-    # the lemma needs n >= 4; past the size budget nothing is swept
-    for n in (0, 3, True, 4.0, MAX_PARTITION_SIZE + 1):
-        with pytest.raises(ValueError, match="the n of a column sweep must be an int in 4.."):
+    # past the size budget nothing is swept
+    for n in (0, True, 4.0, MAX_PARTITION_SIZE + 1):
+        with pytest.raises(ValueError, match="the n of a column sweep must be an int in 1.."):
             covering_pairs(n)
 
 
@@ -309,8 +309,8 @@ def test_class_algebra_finds_the_same_pairs_and_the_lemma_holds(table_for):
     for n in range(1, 8):
         pairs = covering_pairs_by_class_algebra(n)
         assert pairs == find_covering_pairs(table_for(n)).pairs, n
+        assert pairs == covering_pairs(n).pairs, n
         if n >= 4:
-            assert pairs == covering_pairs(n).pairs, n
             for mu, nu in pairs:
                 assert sign_value(mu) != sign_value(nu), (n, mu, nu)
                 assert n * (n - 1) % centralizer_order(mu) == 0, (n, mu)
